@@ -1,13 +1,15 @@
 //! Circuit executors.
 //!
-//! Three ways to run a [`Circuit`]:
+//! Four ways to run a [`Circuit`]:
 //!
 //! * [`sample_batch`] — Monte-Carlo: runs 64-shot-per-word Pauli-frame
 //!   batches and reduces measurements to detection events and observable
 //!   flips.
 //! * [`propagate_fault`] — deterministic: injects one fault at a given
-//!   site and reports exactly which detectors/observables flip (used to
-//!   build matching graphs).
+//!   site and reports exactly which detectors/observables flip.
+//! * [`sensitivity_sweep`] — deterministic, all sites at once: one
+//!   backwards pass that gives every fault site's effect (used to build
+//!   matching graphs; agrees with [`propagate_fault`] site by site).
 //! * [`validate_with_tableau`] — runs the *ideal* part of the circuit on
 //!   the stabilizer simulator and checks that every detector is
 //!   deterministic (XOR = 0) and every observable is deterministic; this
@@ -16,7 +18,7 @@
 use rand::Rng;
 use vlq_pauli::Pauli;
 use vlq_sim::tableau::MeasureOutcome;
-use vlq_sim::{FrameBatch, SingleFrame, Tableau};
+use vlq_sim::{CliffordGate, FrameBatch, SingleFrame, Tableau};
 
 use crate::ir::{Circuit, Instruction};
 
@@ -368,6 +370,215 @@ fn run_instruction(
     }
 }
 
+/// The tokens a [`sensitivity_sweep`] tracks, per measurement record:
+/// `of(m)` is the sorted list of tokens whose parity flips when record
+/// `m` flips. A token names a detector or an observable, chosen by the
+/// caller; a record listed an even number of times contributes nothing.
+#[derive(Clone, Debug, Default)]
+pub struct RecordTokens {
+    /// `ids[offsets[m]..offsets[m + 1]]` are record `m`'s tokens.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl RecordTokens {
+    /// Tabulates the tokens of every record of `circuit`. Detector `d`
+    /// contributes token `detector_token(d)` and observable `o` token
+    /// `observable_token(o)`; `None` leaves it untracked.
+    pub fn new(
+        circuit: &Circuit,
+        detector_token: impl Fn(usize) -> Option<u32>,
+        observable_token: impl Fn(usize) -> Option<u32>,
+    ) -> Self {
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut add = |records: &[usize], token: Option<u32>| {
+            if let Some(t) = token {
+                pairs.extend(
+                    records
+                        .iter()
+                        .map(|&m| (u32::try_from(m).expect("record index fits u32"), t)),
+                );
+            }
+        };
+        for (d, det) in circuit.detectors.iter().enumerate() {
+            add(&det.measurements, detector_token(d));
+        }
+        for (o, obs) in circuit.observables.iter().enumerate() {
+            add(obs, observable_token(o));
+        }
+        pairs.sort_unstable();
+        let mut table = RecordTokens {
+            offsets: vec![0; circuit.num_measurements() + 1],
+            ids: Vec::new(),
+        };
+        // Keep each (record, token) pair that occurs an odd number of
+        // times; `offsets` first counts per record, then sums.
+        for run in pairs.chunk_by(|x, y| x == y) {
+            if run.len() % 2 == 1 {
+                let (m, t) = run[0];
+                table.ids.push(t);
+                table.offsets[m as usize + 1] += 1;
+            }
+        }
+        for m in 1..table.offsets.len() {
+            table.offsets[m] += table.offsets[m - 1];
+        }
+        table
+    }
+
+    /// The sorted tokens that flip with record `m`.
+    pub fn of(&self, m: usize) -> &[u32] {
+        &self.ids[self.offsets[m] as usize..self.offsets[m + 1] as usize]
+    }
+}
+
+/// Writes the symmetric difference of two sorted token lists into
+/// `out` (sorted). This is how fault effects compose: a Pauli product
+/// flips exactly the tokens flipped by an odd number of its factors.
+pub fn xor_sorted_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Writes the tokens a `pauli` error flips into `out`, given the
+/// sorted token lists `x` and `z` that an X and a Z error at the same
+/// place flip (a Y flips their symmetric difference).
+pub fn pauli_tokens_into(x: &[u32], z: &[u32], pauli: Pauli, out: &mut Vec<u32>) {
+    let (px, pz) = pauli.xz();
+    xor_sorted_into(if px { x } else { &[] }, if pz { z } else { &[] }, out);
+}
+
+/// Per-qubit sensitivities at one point of a circuit: `x(q)` (`z(q)`)
+/// is the sorted token list an X (Z) error on `q` at that point would
+/// flip by the end of the circuit (see [`pauli_tokens_into`] for Y).
+#[derive(Clone, Debug)]
+pub struct Sensitivity {
+    /// `sets[2q]` is `x(q)`, `sets[2q + 1]` is `z(q)`.
+    sets: Vec<Vec<u32>>,
+    tmp: Vec<u32>,
+}
+
+fn xs(q: usize) -> usize {
+    2 * q
+}
+
+fn zs(q: usize) -> usize {
+    2 * q + 1
+}
+
+impl Sensitivity {
+    /// Tokens an X error on `q` flips.
+    pub fn x(&self, q: usize) -> &[u32] {
+        &self.sets[xs(q)]
+    }
+
+    /// Tokens a Z error on `q` flips.
+    pub fn z(&self, q: usize) -> &[u32] {
+        &self.sets[zs(q)]
+    }
+
+    /// `sets[dst] ^= other`.
+    fn xor_with(&mut self, dst: usize, other: &[u32]) {
+        xor_sorted_into(&self.sets[dst], other, &mut self.tmp);
+        std::mem::swap(&mut self.sets[dst], &mut self.tmp);
+    }
+
+    /// `sets[dst] ^= sets[src]`, for `dst != src`.
+    fn xor_set(&mut self, dst: usize, src: usize) {
+        let other = std::mem::take(&mut self.sets[src]);
+        self.xor_with(dst, &other);
+        self.sets[src] = other;
+    }
+
+    /// Pulls the sensitivities back through `gate`: afterwards they
+    /// describe errors placed just *before* the gate. Each rule is the
+    /// transpose of [`SingleFrame::apply`]'s forward action.
+    fn unapply(&mut self, gate: CliffordGate) {
+        use CliffordGate::*;
+        match gate {
+            H(q) => self.sets.swap(xs(q), zs(q)),
+            S(q) | SDag(q) => self.xor_set(xs(q), zs(q)),
+            X(_) | Y(_) | Z(_) => {}
+            Cnot(c, t) => {
+                self.xor_set(xs(c), xs(t));
+                self.xor_set(zs(t), zs(c));
+            }
+            Cz(a, b) => {
+                self.xor_set(xs(a), zs(b));
+                self.xor_set(xs(b), zs(a));
+            }
+            Swap(a, b) => {
+                self.sets.swap(xs(a), xs(b));
+                self.sets.swap(zs(a), zs(b));
+            }
+            ISwap(a, b) => {
+                // Forward: S(a), S(b), Cz(a, b), Swap(a, b).
+                self.unapply(Swap(a, b));
+                self.unapply(Cz(a, b));
+                self.unapply(S(b));
+                self.unapply(S(a));
+            }
+        }
+    }
+}
+
+/// The reverse detector-sensitivity sweep (the detector-error-model
+/// construction of Gidney, arXiv 2103.02202): walks `circuit` backwards
+/// once, carrying each qubit's X and Z sensitivity over the tokens of
+/// `tokens`, and calls `visit(at, s)` for every instruction index `at`
+/// in decreasing order, where `s` holds the sensitivities just *after*
+/// instruction `at`.
+///
+/// A [`FaultSite::Pauli1`] at `at` therefore flips `s.x`/`s.z` of its
+/// qubit (XOR both for Y), a [`FaultSite::Pauli2`] the XOR of its two
+/// single-qubit effects, and a [`FaultSite::MeasureFlip`] of record `m`
+/// flips `tokens.of(m)` — the same effects [`propagate_fault`] reports
+/// one fault at a time, for O(circuit length) total work.
+pub fn sensitivity_sweep(
+    circuit: &Circuit,
+    tokens: &RecordTokens,
+    mut visit: impl FnMut(usize, &Sensitivity),
+) {
+    let mut s = Sensitivity {
+        sets: vec![Vec::new(); 2 * circuit.num_qubits],
+        tmp: Vec::new(),
+    };
+    let mut record = circuit.num_measurements();
+    for (at, inst) in circuit.instructions.iter().enumerate().rev() {
+        visit(at, &s);
+        match *inst {
+            Instruction::Gate { gate, .. } => s.unapply(gate),
+            Instruction::Measure { qubit, .. } => {
+                record -= 1;
+                s.xor_with(xs(qubit), tokens.of(record));
+            }
+            Instruction::Reset { qubit } => {
+                s.sets[xs(qubit)].clear();
+                s.sets[zs(qubit)].clear();
+            }
+            Instruction::Idle { .. } | Instruction::Noise1 { .. } | Instruction::Noise2 { .. } => {}
+        }
+    }
+}
+
 /// Outcome of tableau validation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValidationReport {
@@ -597,6 +808,162 @@ mod tests {
         );
         assert_eq!(eff.observables, vec![0]);
         assert_eq!(eff.detectors, vec![0]);
+    }
+
+    /// Oracle tokens: detector `d` is token `d`, observable `o` is token
+    /// `detectors + o`.
+    fn oracle_tokens(c: &Circuit) -> RecordTokens {
+        let nd = c.detectors.len() as u32;
+        RecordTokens::new(c, |d| Some(d as u32), |o| Some(nd + o as u32))
+    }
+
+    fn oracle_effect(c: &Circuit, site: FaultSite) -> Vec<u32> {
+        let e = propagate_fault(c, site);
+        let nd = c.detectors.len();
+        e.detectors
+            .iter()
+            .copied()
+            .chain(e.observables.iter().map(|&o| nd + o))
+            .map(|t| t as u32)
+            .collect()
+    }
+
+    /// Checks every single- and two-qubit Pauli fault after every
+    /// instruction, and every measurement flip, against
+    /// [`propagate_fault`]; returns the number of sites compared.
+    fn assert_sweep_matches_oracle(c: &Circuit) -> usize {
+        let tokens = oracle_tokens(c);
+        let mut checked = 0;
+        let (mut got, mut part_a, mut part_b) = (Vec::new(), Vec::new(), Vec::new());
+        sensitivity_sweep(c, &tokens, |at, s| {
+            for q in 0..c.num_qubits {
+                for pauli in Pauli::ERRORS {
+                    pauli_tokens_into(s.x(q), s.z(q), pauli, &mut got);
+                    let site = FaultSite::Pauli1 {
+                        at,
+                        qubit: q,
+                        pauli,
+                    };
+                    assert_eq!(got, oracle_effect(c, site), "{site:?}");
+                    checked += 1;
+                }
+                for r in (q + 1)..c.num_qubits {
+                    for pa in Pauli::ERRORS {
+                        for pb in Pauli::ERRORS {
+                            pauli_tokens_into(s.x(q), s.z(q), pa, &mut part_a);
+                            pauli_tokens_into(s.x(r), s.z(r), pb, &mut part_b);
+                            xor_sorted_into(&part_a, &part_b, &mut got);
+                            let site = FaultSite::Pauli2 {
+                                at,
+                                a: (q, pa),
+                                b: (r, pb),
+                            };
+                            assert_eq!(got, oracle_effect(c, site), "{site:?}");
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+            if matches!(c.instructions[at], Instruction::Measure { .. }) {
+                let record = c.instructions[..at]
+                    .iter()
+                    .filter(|i| matches!(i, Instruction::Measure { .. }))
+                    .count();
+                let site = FaultSite::MeasureFlip { at };
+                assert_eq!(tokens.of(record), oracle_effect(c, site), "{site:?}");
+                checked += 1;
+            }
+        });
+        checked
+    }
+
+    #[test]
+    fn sensitivity_sweep_matches_propagate_fault_on_every_gate() {
+        use CliffordGate::*;
+        let mut c = Circuit::new(4);
+        let one = [H(0), S(1), SDag(2), X(3), Y(0), Z(1)];
+        let two = [Cnot(0, 1), Cz(1, 2), Swap(2, 3), ISwap(3, 0), ISwap(1, 2)];
+        for g in one {
+            c.gate(g, GateClass::OneQubit);
+        }
+        for g in two {
+            c.gate(g, GateClass::TwoQubitTT);
+        }
+        // Mid-circuit measurement with readout noise, then a reset and
+        // more gates acting on the measured qubit.
+        let m0 = c.measure(1);
+        if let Some(Instruction::Measure { flip_prob, .. }) = c.instructions.last_mut() {
+            *flip_prob = 0.01;
+        }
+        c.reset(1);
+        c.gate(H(1), GateClass::OneQubit);
+        c.gate(Cnot(1, 3), GateClass::TwoQubitTT);
+        c.gate(S(3), GateClass::OneQubit);
+        c.gate(ISwap(0, 3), GateClass::LoadStore);
+        c.gate(Cz(0, 2), GateClass::TwoQubitTT);
+        c.gate(SDag(0), GateClass::OneQubit);
+        c.gate(H(2), GateClass::OneQubit);
+        let m: Vec<usize> = (0..4).map(|q| c.measure(q)).collect();
+        c.detector(vec![m0, m[1]], (0, 0, 0));
+        // Lists m[0] twice: it cancels, leaving m[2] alone.
+        c.detector(vec![m[0], m[2], m[0]], (1, 0, 0));
+        c.detector(vec![m[3], m0, m[0]], (2, 0, 0));
+        c.observable(vec![m[0], m[3]]);
+        assert!(assert_sweep_matches_oracle(&c) > 0);
+        // The doubled record really contributes nothing to detector 1.
+        let tokens = oracle_tokens(&c);
+        assert_eq!(tokens.of(m[0]), &[2, 3]);
+    }
+
+    #[test]
+    fn sensitivity_sweep_matches_propagate_fault_on_random_circuits() {
+        use CliffordGate::*;
+        let mut rng = SmallRng::seed_from_u64(13);
+        for _ in 0..20 {
+            let n = 4;
+            let mut c = Circuit::new(n);
+            for _ in 0..30 {
+                let q = rng.random_range(0..n);
+                let r = (q + rng.random_range(1..n)) % n;
+                let gate = match rng.random_range(0..12) {
+                    0 => H(q),
+                    1 => S(q),
+                    2 => SDag(q),
+                    3 => X(q),
+                    4 => Y(q),
+                    5 => Z(q),
+                    6 => Cnot(q, r),
+                    7 => Cz(q, r),
+                    8 => Swap(q, r),
+                    9 => ISwap(q, r),
+                    10 => {
+                        c.reset(q);
+                        continue;
+                    }
+                    _ => {
+                        c.measure(q);
+                        continue;
+                    }
+                };
+                let class = if gate.is_two_qubit() {
+                    GateClass::TwoQubitTT
+                } else {
+                    GateClass::OneQubit
+                };
+                c.gate(gate, class);
+            }
+            for q in 0..n {
+                c.measure(q);
+            }
+            let records = c.num_measurements();
+            for _ in 0..6 {
+                let len = rng.random_range(1..5);
+                let ms = (0..len).map(|_| rng.random_range(0..records)).collect();
+                c.detector(ms, (0, 0, 0));
+            }
+            c.observable((0..3).map(|_| rng.random_range(0..records)).collect());
+            assert_sweep_matches_oracle(&c);
+        }
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!    *noisy* circuit (Pauli channels + readout flip probabilities);
 //! 3. [`exec::validate_with_tableau`] proves the detector annotations are
 //!    deterministic on the ideal circuit;
-//! 4. [`exec::propagate_fault`] enumerates single-fault effects to build
-//!    the decoder's matching graph (in `vlq-decoder`);
+//! 4. [`exec::sensitivity_sweep`] walks the noisy circuit backwards once
+//!    and yields, at every fault site, the detectors and observables an
+//!    X or Z there would flip; `vlq-decoder` builds its matching graph
+//!    from these (the single-fault [`exec::propagate_fault`] is the
+//!    reference it is tested against);
 //! 5. [`exec::sample_batch`] runs bit-parallel Monte Carlo shots.
 
 pub mod exec;

@@ -149,6 +149,9 @@ impl NoiseModel {
                 }
             }
         }
+        // Prepared blocks keep their noisy circuit for a whole sweep;
+        // drop the push-growth slack.
+        out.instructions.shrink_to_fit();
         out.detectors = ideal.detectors.clone();
         out.observables = ideal.observables.clone();
         out

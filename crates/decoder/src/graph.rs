@@ -1,18 +1,23 @@
-//! Matching-graph construction by exhaustive single-fault enumeration.
+//! Matching-graph construction from one reverse sensitivity sweep.
 //!
 //! Every noise instruction of a noisy circuit defines a set of
 //! elementary faults (3 Paulis for a 1-qubit channel, 15 for a 2-qubit
-//! channel, one flip per measurement). Each fault is propagated
-//! deterministically ([`vlq_circuit::exec::propagate_fault`]) to find
-//! the detectors and observables it flips. Within one decoding sector
-//! (Z-plaquette or X-plaquette detectors), a fault flips at most two
-//! detectors for graphlike noise; faults that flip more are decomposed
-//! into known graphlike edges, as modern detector-error-model tooling
-//! does.
+//! channel, one flip per measurement; see [`for_each_fault`]). One
+//! backwards pass over the circuit
+//! ([`vlq_circuit::exec::sensitivity_sweep`]) yields, at every noise
+//! site, the sector detectors and observable that an X or a Z on each
+//! qubit would flip; a fault's effect is the XOR of at most four of
+//! those sets, the same answer [`vlq_circuit::exec::propagate_fault`]
+//! gives one fault at a time. Within one decoding sector (Z-plaquette
+//! or X-plaquette detectors), a fault flips at most two detectors for
+//! graphlike noise; faults that flip more are decomposed into known
+//! graphlike edges, as modern detector-error-model tooling does.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use vlq_circuit::exec::{propagate_fault, FaultSite};
+use vlq_circuit::exec::{
+    pauli_tokens_into, sensitivity_sweep, xor_sorted_into, FaultSite, RecordTokens,
+};
 use vlq_circuit::ir::{Circuit, Instruction};
 use vlq_math::stats::{log_odds_weight, xor_probability};
 use vlq_pauli::Pauli;
@@ -51,6 +56,44 @@ pub struct DecodingGraph {
     /// Probability mass of faults that flipped the observable with *no*
     /// sector detectors (should be ~0 for a sound circuit).
     pub undetectable_logical_mass: f64,
+    /// Count of fault contributions whose observable parity disagreed
+    /// with the parity already stored on their edge. The edge keeps the
+    /// first contribution's parity; each disagreement is a two-fault
+    /// logical error the merged graph cannot see.
+    pub parity_conflicts: usize,
+}
+
+/// Token of the memory observable in a sweep: sorts after every
+/// detector id, so a fault's sorted token list ends with it.
+const OBSERVABLE: u32 = u32::MAX;
+/// `sector_of` entry of a detector outside the sector.
+const NOT_IN_SECTOR: u32 = u32::MAX;
+
+/// The sweep's per-site sensitivity sets, stored flat: set `i` is
+/// `ids[ends[i - 1]..ends[i]]` (with `ends[-1] = 0`).
+#[derive(Default)]
+struct SetArena {
+    ids: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl SetArena {
+    fn push(&mut self, set: &[u32]) {
+        self.ids.extend_from_slice(set);
+        self.ends
+            .push(u32::try_from(self.ids.len()).expect("sensitivity arena fits u32 offsets"));
+    }
+
+    fn get(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.ids[start..self.ends[i] as usize]
+    }
+
+    /// Writes the tokens flipped by `pauli` on a qubit whose X and Z
+    /// sensitivities are sets `x` and `x + 1`.
+    fn pauli_into(&self, x: usize, pauli: Pauli, out: &mut Vec<u32>) {
+        pauli_tokens_into(self.get(x), self.get(x + 1), pauli, out);
+    }
 }
 
 impl DecodingGraph {
@@ -89,6 +132,8 @@ impl DecodingGraph {
         adj
     }
 
+    /// Folds one fault contribution into edge `(a, b)`. The weight is
+    /// set once all contributions are in (see `build_with_attribution`).
     fn accumulate(&mut self, a: usize, b: usize, p: f64, obs: bool) {
         let key = ordered(a, b);
         let entry = self.edges.entry(key).or_insert(GraphEdge {
@@ -96,10 +141,12 @@ impl DecodingGraph {
             weight: f64::INFINITY,
             flips_observable: obs,
         });
-        // Keep the observable parity of the dominant contribution; in a
+        // Keep the observable parity of the first contribution; in a
         // sound surface-code circuit all contributions to one edge agree.
+        if entry.flips_observable != obs {
+            self.parity_conflicts += 1;
+        }
         entry.probability = xor_probability(entry.probability, p);
-        entry.weight = log_odds_weight(entry.probability);
     }
 
     /// Builds the decoding graph for the *guard* sector of a noisy
@@ -136,41 +183,98 @@ impl DecodingGraph {
         sector_detectors: &[usize],
         attribute_observable: bool,
     ) -> Self {
-        let mut sector_index: HashMap<usize, usize> = HashMap::new();
+        let mut sector_of = vec![NOT_IN_SECTOR; circuit.detectors.len()];
         for (i, &d) in sector_detectors.iter().enumerate() {
-            sector_index.insert(d, i);
+            sector_of[d] = i as u32;
         }
         let mut graph = DecodingGraph {
             num_nodes: sector_detectors.len(),
             edges: BTreeMap::new(),
             decomposed_faults: 0,
             undetectable_logical_mass: 0.0,
+            parity_conflicts: 0,
         };
-        // Collect (sector detector list, obs flip, probability) per fault;
-        // multi-detector faults wait for the second pass.
+        // Sector detectors are tracked under their *global* ids, so a
+        // fault's sorted token list is in ascending global-detector
+        // order, which `decompose` relies on.
+        let tokens = RecordTokens::new(
+            circuit,
+            |d| (sector_of[d] != NOT_IN_SECTOR).then_some(d as u32),
+            |o| (attribute_observable && o == 0).then_some(OBSERVABLE),
+        );
+        // Reverse pass: store the X and Z sensitivity of every qubit a
+        // noisy channel touches, in reverse instruction order.
+        let mut arena = SetArena::default();
+        sensitivity_sweep(circuit, &tokens, |at, s| match circuit.instructions[at] {
+            Instruction::Noise1 { qubit, p } if p > 0.0 => {
+                arena.push(s.x(qubit));
+                arena.push(s.z(qubit));
+            }
+            Instruction::Noise2 { a, b, p } if p > 0.0 => {
+                for q in [a, b] {
+                    arena.push(s.x(q));
+                    arena.push(s.z(q));
+                }
+            }
+            _ => {}
+        });
+        // Forward replay in enumeration order, so every edge folds its
+        // contributions in the same floating-point order. `site` walks
+        // the arena backwards, one noisy instruction (`site_at`) at a
+        // time; `record` counts the measurements before `scanned`.
+        let (mut site, mut site_at) = (arena.ends.len(), usize::MAX);
+        let (mut record, mut scanned) = (0, 0);
+        let (mut effect, mut part_a, mut part_b) = (Vec::new(), Vec::new(), Vec::new());
+        // Multi-detector faults wait for the second pass.
         let mut pending: Vec<(Vec<usize>, bool, f64)> = Vec::new();
-        for_each_fault(circuit, |site, p| {
+        for_each_fault(circuit, |fault, p| {
             if p <= 0.0 {
                 return;
             }
-            let effect = propagate_fault(circuit, site);
-            let dets: Vec<usize> = effect
-                .detectors
-                .iter()
-                .filter_map(|d| sector_index.get(d).copied())
-                .collect();
-            let obs = attribute_observable && effect.observables.contains(&0);
-            match dets.len() {
-                0 => {
+            let mut enter = |at: usize, sets: usize| {
+                if at != site_at {
+                    site_at = at;
+                    site -= sets;
+                }
+                site
+            };
+            match fault {
+                FaultSite::Pauli1 { at, pauli, .. } => {
+                    arena.pauli_into(enter(at, 2), pauli, &mut effect);
+                }
+                FaultSite::Pauli2 { at, a, b } => {
+                    let x = enter(at, 4);
+                    arena.pauli_into(x, a.1, &mut part_a);
+                    arena.pauli_into(x + 2, b.1, &mut part_b);
+                    xor_sorted_into(&part_a, &part_b, &mut effect);
+                }
+                FaultSite::MeasureFlip { at } => {
+                    record += circuit.instructions[scanned..at]
+                        .iter()
+                        .filter(|i| matches!(i, Instruction::Measure { .. }))
+                        .count();
+                    scanned = at;
+                    effect.clear();
+                    effect.extend_from_slice(tokens.of(record));
+                }
+            }
+            let obs = effect.last() == Some(&OBSERVABLE);
+            if obs {
+                effect.pop();
+            }
+            let node = |d: u32| sector_of[d as usize] as usize;
+            match *effect.as_slice() {
+                [] => {
                     if obs {
                         graph.undetectable_logical_mass += p;
                     }
                 }
-                1 => graph.accumulate(dets[0], BOUNDARY, p, obs),
-                2 => graph.accumulate(dets[0], dets[1], p, obs),
-                _ => pending.push((dets, obs, p)),
+                [d] => graph.accumulate(node(d), BOUNDARY, p, obs),
+                [d, e] => graph.accumulate(node(d), node(e), p, obs),
+                _ => pending.push((effect.iter().map(|&d| node(d)).collect(), obs, p)),
             }
         });
+        drop(arena);
         // Second pass: decompose multi-detector faults into existing
         // graphlike edges (pairs or boundary singletons) whose combined
         // observable parity matches.
@@ -185,6 +289,10 @@ impl DecodingGraph {
             for (a, b, part_obs) in parts {
                 graph.accumulate(a, b, p, part_obs);
             }
+        }
+        // Only the final probability sets a weight.
+        for e in graph.edges.values_mut() {
+            e.weight = log_odds_weight(e.probability);
         }
         graph
     }

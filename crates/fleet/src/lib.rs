@@ -110,7 +110,10 @@ impl Default for FleetConfig {
 }
 
 /// One-shot fault injection: kill shard `shard` once its JSONL artifact
-/// holds at least `lines` complete lines.
+/// holds at least `lines` complete lines. A shard that finishes before
+/// a poll sees the trigger is treated as killed there: its artifact is
+/// cut back to `lines` lines and it restarts, so the recovery path runs
+/// however fast the shard is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosKill {
     /// Shard index to kill.
@@ -451,8 +454,22 @@ fn run_loop(
                 spawn_shard(spec, procs, i)?;
                 continue;
             }
-            let child = procs[i].child.as_mut().expect("active shard has a child");
-            match child.try_wait() {
+            let waited = procs[i]
+                .child
+                .as_mut()
+                .expect("active shard has a child")
+                .try_wait();
+            match waited {
+                Ok(Some(status)) if status.success() && chaos_due(*chaos_armed, i, &procs[i]) => {
+                    // The shard finished between two polls, before the
+                    // kill could land: roll its artifact back to the
+                    // trigger line, as the kill would have left it.
+                    let lines = chaos_armed.take().expect("chaos is due").lines;
+                    procs[i].child = None;
+                    truncate_lines(&procs[i].jsonl, lines)
+                        .map_err(|e| FleetError::Io(procs[i].jsonl.clone(), e))?;
+                    restart_shard(spec, config, recorder, procs, i, "chaos-killed on exit")?;
+                }
                 Ok(Some(status)) if status.success() => {
                     procs[i].done = true;
                     procs[i].child = None;
@@ -479,7 +496,7 @@ fn run_loop(
                             if !config.quiet {
                                 eprintln!("note: fleet: chaos-kill shard {i} at {lines} line(s)");
                             }
-                            let _ = child.kill();
+                            let _ = procs[i].child.as_mut().expect("live shard").kill();
                             // The kill surfaces as a failed exit on the
                             // next poll and takes the restart path.
                         }
@@ -504,6 +521,26 @@ fn run_loop(
         }
         std::thread::sleep(config.poll);
     }
+}
+
+/// Whether the armed chaos kill targets shard `i` and its artifact has
+/// reached the trigger line count.
+fn chaos_due(chaos: Option<ChaosKill>, i: usize, proc: &Proc) -> bool {
+    chaos.is_some_and(|c| c.shard == i && count_lines(&proc.jsonl) >= c.lines)
+}
+
+/// Keeps only the first `lines` complete lines of the file at `path`.
+fn truncate_lines(path: &Path, lines: usize) -> io::Result<()> {
+    let bytes = std::fs::read(path)?;
+    let end = bytes
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .map(|(at, _)| at + 1)
+        .take(lines)
+        .last()
+        .unwrap_or(0);
+    std::fs::write(path, &bytes[..end])
 }
 
 fn spawn_shard(spec: &FleetSpec, procs: &mut [Proc], i: usize) -> Result<(), FleetError> {

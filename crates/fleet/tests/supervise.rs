@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use vlq_decoder::DecoderKind;
-use vlq_fleet::{supervise, FleetConfig, FleetError, FleetSpec};
+use vlq_fleet::{supervise, ChaosKill, FleetConfig, FleetError, FleetSpec};
 use vlq_surface::schedule::{Basis, Setup};
 use vlq_sweep::{
     combine_fingerprints, CsvSink, JsonlSink, RecordSink, ShardSpec, SweepMeta, SweepPoint,
@@ -180,6 +180,23 @@ fi
     std::fs::create_dir_all(&out).unwrap();
     let report = supervise(&spec, &fast_config(), &Recorder::attached()).unwrap();
     assert_eq!(report.restarts, 1, "exactly one restart for the one crash");
+    assert_eq!(report.stalls, 0);
+    assert_merged_matches(&out, &reference);
+}
+
+#[test]
+fn chaos_kill_restarts_a_shard_that_finished_first() {
+    // The scripted children finish long before the first poll, so the
+    // kill can never land on a live process: the supervisor must still
+    // roll shard 1 back to its trigger line and restart it exactly once.
+    let (stash, reference, out) = scaffold("chaos", 3);
+    let spec = spec_for(&out, 3, script(&stash, ""));
+    let config = FleetConfig {
+        chaos_kill: Some(ChaosKill { shard: 1, lines: 1 }),
+        ..fast_config()
+    };
+    let report = supervise(&spec, &config, &Recorder::attached()).unwrap();
+    assert_eq!(report.restarts, 1, "exactly one restart for the chaos kill");
     assert_eq!(report.stalls, 0);
     assert_merged_matches(&out, &reference);
 }

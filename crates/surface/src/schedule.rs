@@ -400,11 +400,15 @@ pub const BASELINE_ORDER_Z: [Corner; 4] = [Corner::NE, Corner::SE, Corner::NW, C
 /// setups, zero rounds).
 pub fn memory_circuit(spec: MemorySpec, hw: &HardwareParams) -> MemoryCircuit {
     assert!(spec.rounds > 0, "at least one round required");
-    match spec.setup {
+    let mut mc = match spec.setup {
         Setup::Baseline => baseline_memory(spec, hw),
         Setup::NaturalAllAtOnce | Setup::NaturalInterleaved => natural_memory(spec, hw),
         Setup::CompactAllAtOnce | Setup::CompactInterleaved => compact_memory(spec, hw),
-    }
+    };
+    // Prepared blocks keep the ideal circuit for a whole sweep; drop the
+    // push-growth slack.
+    mc.circuit.instructions.shrink_to_fit();
+    mc
 }
 
 // ---------------------------------------------------------------------
