@@ -10,12 +10,19 @@
 //! Weights are `i64`; callers scale float weights (the decoder multiplies
 //! log-odds weights by 2^20 and rounds). Vertex duals are stored doubled
 //! so that all arithmetic stays integral.
-
-// BTree (not hash) containers: blossom tie-breaking follows container
-// iteration order, and equally-minimal matchings can differ in logical
-// class — hash iteration order varies per process (`RandomState`), which
-// made shared-syndrome decoder comparisons flaky across runs.
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! All state is dense and index-addressed: per-node arrays indexed by
+//! node id (vertices `0..n`, blossoms `n..2n`), an `n × n` weight matrix
+//! and an `n × n` bitset of tight edges. A [`Matcher`] owns these
+//! buffers and reuses them across solves, so a caller that keeps one
+//! matcher matches without allocating once the buffers have grown to
+//! the largest instance seen.
+//!
+//! Tie-breaking follows traversal order, and every traversal runs over
+//! vertices, blossom slots or per-node arrays in ascending id order —
+//! never over a hash container, whose per-process iteration order made
+//! equally-minimal matchings (which can differ in logical class) flaky
+//! across runs.
 
 /// Computes a maximum-weight matching of an undirected graph.
 ///
@@ -34,15 +41,9 @@ pub fn max_weight_matching(
     edges: &[(usize, usize, i64)],
     max_cardinality: bool,
 ) -> Vec<Option<usize>> {
-    let mut n = 0usize;
-    for &(i, j, _) in edges {
-        assert_ne!(i, j, "self-loop in matching graph");
-        n = n.max(i + 1).max(j + 1);
-    }
-    if n == 0 {
-        return Vec::new();
-    }
-    Matcher::new(n, edges, max_cardinality).run()
+    Matcher::new()
+        .max_weight_matching(edges, max_cardinality)
+        .to_vec()
 }
 
 /// Minimum-weight perfect matching via weight inversion.
@@ -50,19 +51,9 @@ pub fn max_weight_matching(
 /// Returns `mate[v] = u` for every vertex, or `None` if no perfect
 /// matching exists.
 pub fn min_weight_perfect_matching(edges: &[(usize, usize, i64)]) -> Option<Vec<usize>> {
-    if edges.is_empty() {
-        return Some(Vec::new());
-    }
-    let max_w = edges.iter().map(|e| e.2).max().unwrap_or(0);
-    let inverted: Vec<(usize, usize, i64)> = edges
-        .iter()
-        .map(|&(u, v, w)| (u, v, max_w + 1 - w))
-        .collect();
-    let mate = max_weight_matching(&inverted, true);
-    if mate.iter().any(Option::is_none) {
-        return None;
-    }
-    Some(mate.into_iter().map(|m| m.expect("perfect")).collect())
+    Matcher::new()
+        .min_weight_perfect_matching(edges)
+        .map(<[usize]>::to_vec)
 }
 
 /// Node id: vertices are `0..n`; blossoms are `n + index`.
@@ -71,82 +62,186 @@ type Node = usize;
 const S: u8 = 1;
 const T: u8 = 2;
 const BREADCRUMB: u8 = 5;
+/// `Matcher::wt` entry of a vertex pair without an edge.
+const NO_EDGE: i64 = i64::MIN;
 
-#[derive(Default, Clone)]
+#[derive(Clone, Debug, Default)]
 struct BlossomData {
     /// Ordered sub-blossoms, starting with the base.
     childs: Vec<Node>,
     /// `edges[i] = (v, w)`: v in childs[i], w in childs[wrap(i+1)].
     edges: Vec<(usize, usize)>,
-    /// Least-slack edges to neighboring S-blossoms.
-    mybestedges: Option<Vec<(usize, usize)>>,
+    /// Least-slack edges to neighboring S-blossoms (meaningful only
+    /// while `has_mybestedges`).
+    mybestedges: Vec<(usize, usize)>,
+    has_mybestedges: bool,
     active: bool,
 }
 
-struct Matcher {
+/// Unordered vertex pairs of an `n`-vertex graph, as an `n × n` bitset.
+#[derive(Debug, Default)]
+struct PairSet {
+    n: usize,
+    words: Vec<u64>,
+}
+
+impl PairSet {
+    fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words.clear();
+        self.words.resize((n * n).div_ceil(64), 0);
+    }
+
+    fn bit(&self, a: usize, b: usize) -> usize {
+        a.min(b) * self.n + a.max(b)
+    }
+
+    fn contains(&self, a: usize, b: usize) -> bool {
+        let i = self.bit(a, b);
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, a: usize, b: usize) {
+        let i = self.bit(a, b);
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+}
+
+/// Appends the vertices inside node `b` to `out`, in sub-blossom order.
+fn push_leaves(blossoms: &[BlossomData], n: usize, b: Node, out: &mut Vec<usize>) {
+    if b < n {
+        out.push(b);
+    } else {
+        for &c in &blossoms[b - n].childs {
+            push_leaves(blossoms, n, c, out);
+        }
+    }
+}
+
+/// A reusable blossom matcher: owns every buffer a solve needs and
+/// keeps them (cleared, capacity retained) for the next solve. Results
+/// are identical to a fresh matcher's.
+#[derive(Debug, Default)]
+pub struct Matcher {
     n: usize,
     max_cardinality: bool,
     neighbors: Vec<Vec<usize>>,
-    wt: BTreeMap<(usize, usize), i64>,
+    /// `wt[v * n + w]`: weight of edge (v, w), stored in both
+    /// orientations; `NO_EDGE` where there is none.
+    wt: Vec<i64>,
     mate: Vec<Option<usize>>,
-    label: BTreeMap<Node, u8>,
-    labeledge: BTreeMap<Node, Option<(usize, usize)>>,
+    /// `mate` of the last successful perfect matching, unwrapped.
+    pub(crate) perfect: Vec<usize>,
+    label: Vec<u8>,
+    labeledge: Vec<Option<(usize, usize)>>,
     inblossom: Vec<Node>,
-    blossomparent: BTreeMap<Node, Option<Node>>,
-    blossombase: BTreeMap<Node, usize>,
-    bestedge: BTreeMap<Node, Option<(usize, usize)>>,
+    blossomparent: Vec<Option<Node>>,
+    blossombase: Vec<usize>,
+    bestedge: Vec<Option<(usize, usize)>>,
     dualvar: Vec<i64>,
-    blossomdual: BTreeMap<Node, i64>,
-    allowedge: BTreeSet<(usize, usize)>,
+    blossomdual: Vec<i64>,
+    allowedge: PairSet,
     queue: Vec<usize>,
+    /// Blossom slots: blossom `n + i` lives in `blossoms[i]`, and only
+    /// the first `num_blossoms` slots belong to the current solve.
     blossoms: Vec<BlossomData>,
+    num_blossoms: usize,
     free_blossoms: Vec<Node>,
+    /// `add_blossom` working set: least-slack edge to each neighboring
+    /// S-node, walked in ascending node order and left all-`None`.
+    bestedgeto: Vec<Option<(usize, usize)>>,
+    scan_path: Vec<Node>,
+    leaves: Vec<usize>,
 }
 
 impl Matcher {
-    fn new(n: usize, edges: &[(usize, usize, i64)], max_cardinality: bool) -> Self {
-        let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut wt = BTreeMap::new();
-        let mut maxweight = 0i64;
-        for &(i, j, w) in edges {
-            if wt.insert(key(i, j), w).is_none() {
-                neighbors[i].push(j);
-                neighbors[j].push(i);
-            }
-            maxweight = maxweight.max(w);
-        }
-        Matcher {
-            n,
-            max_cardinality,
-            neighbors,
-            wt,
-            mate: vec![None; n],
-            label: BTreeMap::new(),
-            labeledge: BTreeMap::new(),
-            inblossom: (0..n).collect(),
-            blossomparent: (0..n).map(|v| (v, None)).collect(),
-            blossombase: (0..n).map(|v| (v, v)).collect(),
-            bestedge: BTreeMap::new(),
-            dualvar: vec![maxweight; n],
-            blossomdual: BTreeMap::new(),
-            allowedge: BTreeSet::new(),
-            queue: Vec::new(),
-            blossoms: Vec::new(),
-            free_blossoms: Vec::new(),
-        }
+    /// An empty matcher; buffers grow on first use.
+    pub fn new() -> Self {
+        Matcher::default()
     }
 
-    fn weight(&self, v: usize, w: usize) -> i64 {
-        self.wt[&key(v, w)]
+    /// [`max_weight_matching`] on this matcher's buffers.
+    pub fn max_weight_matching(
+        &mut self,
+        edges: &[(usize, usize, i64)],
+        max_cardinality: bool,
+    ) -> &[Option<usize>] {
+        self.load(edges, max_cardinality, |w| w);
+        self.run();
+        &self.mate
+    }
+
+    /// [`min_weight_perfect_matching`] on this matcher's buffers.
+    pub fn min_weight_perfect_matching(
+        &mut self,
+        edges: &[(usize, usize, i64)],
+    ) -> Option<&[usize]> {
+        let max_w = edges.iter().map(|e| e.2).max().unwrap_or(0);
+        self.load(edges, true, |w| max_w + 1 - w);
+        self.run();
+        self.perfect.clear();
+        for &m in &self.mate {
+            self.perfect.push(m?);
+        }
+        Some(&self.perfect)
+    }
+
+    /// Resets every buffer for a graph with `edges`, whose weights are
+    /// mapped through `weight_of` as they load.
+    fn load(
+        &mut self,
+        edges: &[(usize, usize, i64)],
+        max_cardinality: bool,
+        weight_of: impl Fn(i64) -> i64,
+    ) {
+        let mut n = 0usize;
+        for &(i, j, _) in edges {
+            assert_ne!(i, j, "self-loop in matching graph");
+            n = n.max(i + 1).max(j + 1);
+        }
+        self.n = n;
+        self.max_cardinality = max_cardinality;
+        if self.neighbors.len() < n {
+            self.neighbors.resize_with(n, Vec::new);
+        }
+        for nb in &mut self.neighbors[..n] {
+            nb.clear();
+        }
+        reset(&mut self.wt, n * n, NO_EDGE);
+        let mut maxweight = 0i64;
+        for &(i, j, w) in edges {
+            let w = weight_of(w);
+            debug_assert_ne!(w, NO_EDGE, "weight out of range");
+            if self.wt[i * n + j] == NO_EDGE {
+                self.neighbors[i].push(j);
+                self.neighbors[j].push(i);
+            }
+            self.wt[i * n + j] = w;
+            self.wt[j * n + i] = w;
+            maxweight = maxweight.max(w);
+        }
+        reset(&mut self.mate, n, None);
+        reset(&mut self.dualvar, n, maxweight);
+        self.inblossom.clear();
+        self.inblossom.extend(0..n);
+        let nodes = 2 * n;
+        reset(&mut self.label, nodes, 0);
+        reset(&mut self.labeledge, nodes, None);
+        reset(&mut self.blossomparent, nodes, None);
+        reset(&mut self.bestedge, nodes, None);
+        reset(&mut self.blossomdual, nodes, 0);
+        reset(&mut self.bestedgeto, nodes, None);
+        self.blossombase.clear();
+        self.blossombase.extend(0..n);
+        self.blossombase.resize(nodes, usize::MAX);
+        self.queue.clear();
+        self.num_blossoms = 0;
+        self.free_blossoms.clear();
     }
 
     /// 2 * slack of edge (v, w); only valid outside blossoms.
     fn slack(&self, v: usize, w: usize) -> i64 {
-        self.dualvar[v] + self.dualvar[w] - 2 * self.weight(v, w)
-    }
-
-    fn is_blossom(&self, b: Node) -> bool {
-        b >= self.n
+        self.dualvar[v] + self.dualvar[w] - 2 * self.wt[v * self.n + w]
     }
 
     fn bdata(&self, b: Node) -> &BlossomData {
@@ -158,52 +253,77 @@ impl Matcher {
         &mut self.blossoms[b - n]
     }
 
+    /// The vertices inside node `b`, in the shared leaves buffer; hand
+    /// it back with `self.leaves = leaves` when done.
+    fn take_leaves(&mut self, b: Node) -> Vec<usize> {
+        let mut leaves = std::mem::take(&mut self.leaves);
+        leaves.clear();
+        push_leaves(&self.blossoms, self.n, b, &mut leaves);
+        leaves
+    }
+
+    /// Child `j` (taken cyclically) of blossom `b`.
+    fn child(&self, b: Node, j: i64) -> Node {
+        let childs = &self.bdata(b).childs;
+        childs[j.rem_euclid(childs.len() as i64) as usize]
+    }
+
+    /// The edge from child `j` to child `j + jstep` of blossom `b`,
+    /// oriented along the step.
+    fn step_edge(&self, b: Node, j: i64, jstep: i64) -> (usize, usize) {
+        let edges = &self.bdata(b).edges;
+        let len = edges.len() as i64;
+        if jstep == 1 {
+            edges[j.rem_euclid(len) as usize]
+        } else {
+            let (x, y) = edges[(j - 1).rem_euclid(len) as usize];
+            (y, x)
+        }
+    }
+
+    fn child_position(&self, b: Node, c: Node) -> i64 {
+        self.bdata(b)
+            .childs
+            .iter()
+            .position(|&x| x == c)
+            .expect("child of blossom") as i64
+    }
+
     fn new_blossom(&mut self) -> Node {
-        if let Some(b) = self.free_blossoms.pop() {
-            self.blossoms[b - self.n] = BlossomData {
-                active: true,
-                ..Default::default()
-            };
-            b
-        } else {
-            self.blossoms.push(BlossomData {
-                active: true,
-                ..Default::default()
-            });
-            self.n + self.blossoms.len() - 1
-        }
-    }
-
-    fn leaves(&self, b: Node, out: &mut Vec<usize>) {
-        if self.is_blossom(b) {
-            for &c in &self.bdata(b).childs {
-                self.leaves(c, out);
+        let b = match self.free_blossoms.pop() {
+            Some(b) => b,
+            None => {
+                debug_assert!(self.num_blossoms < self.n, "too many blossoms");
+                if self.num_blossoms == self.blossoms.len() {
+                    self.blossoms.push(BlossomData::default());
+                }
+                self.num_blossoms += 1;
+                self.n + self.num_blossoms - 1
             }
-        } else {
-            out.push(b);
-        }
-    }
-
-    fn label_of(&self, x: Node) -> u8 {
-        self.label.get(&x).copied().unwrap_or(0)
+        };
+        let bd = self.bdata_mut(b);
+        bd.childs.clear();
+        bd.edges.clear();
+        bd.mybestedges.clear();
+        bd.has_mybestedges = false;
+        bd.active = true;
+        b
     }
 
     fn assign_label(&mut self, w: usize, t: u8, v: Option<usize>) {
         let b = self.inblossom[w];
-        debug_assert!(self.label_of(w) == 0 && self.label_of(b) == 0);
-        self.label.insert(w, t);
-        self.label.insert(b, t);
+        debug_assert!(self.label[w] == 0 && self.label[b] == 0);
+        self.label[w] = t;
+        self.label[b] = t;
         let le = v.map(|v| (v, w));
-        self.labeledge.insert(w, le);
-        self.labeledge.insert(b, le);
-        self.bestedge.insert(w, None);
-        self.bestedge.insert(b, None);
+        self.labeledge[w] = le;
+        self.labeledge[b] = le;
+        self.bestedge[w] = None;
+        self.bestedge[b] = None;
         if t == S {
-            let mut lv = Vec::new();
-            self.leaves(b, &mut lv);
-            self.queue.extend(lv);
+            push_leaves(&self.blossoms, self.n, b, &mut self.queue);
         } else if t == T {
-            let base = self.blossombase[&b];
+            let base = self.blossombase[b];
             let mate_base = self.mate[base].expect("T-blossom base is matched");
             self.assign_label(mate_base, S, Some(base));
         }
@@ -212,32 +332,33 @@ impl Matcher {
     /// Traces back from v and w; returns the base vertex of a new blossom
     /// or None if an augmenting path was found.
     fn scan_blossom(&mut self, v: usize, w: usize) -> Option<usize> {
-        let mut path: Vec<Node> = Vec::new();
+        let mut path = std::mem::take(&mut self.scan_path);
+        path.clear();
         let mut base: Option<usize> = None;
         let mut v: Option<usize> = Some(v);
         let mut w: Option<usize> = Some(w);
         while let Some(vv) = v {
             let b = self.inblossom[vv];
-            if self.label_of(b) & 4 != 0 {
-                base = Some(self.blossombase[&b]);
+            if self.label[b] & 4 != 0 {
+                base = Some(self.blossombase[b]);
                 break;
             }
-            debug_assert_eq!(self.label_of(b), S);
+            debug_assert_eq!(self.label[b], S);
             path.push(b);
-            self.label.insert(b, BREADCRUMB);
+            self.label[b] = BREADCRUMB;
             // Trace one step back.
-            match self.labeledge[&b] {
+            match self.labeledge[b] {
                 None => {
-                    debug_assert!(self.mate[self.blossombase[&b]].is_none());
+                    debug_assert!(self.mate[self.blossombase[b]].is_none());
                     v = None;
                 }
                 Some(le) => {
-                    debug_assert_eq!(Some(le.0), self.mate[self.blossombase[&b]]);
+                    debug_assert_eq!(Some(le.0), self.mate[self.blossombase[b]]);
                     let t = le.0;
                     let bt = self.inblossom[t];
-                    debug_assert_eq!(self.label_of(bt), T);
+                    debug_assert_eq!(self.label[bt], T);
                     // bt is a T-blossom; trace one more step back.
-                    v = Some(self.labeledge[&bt].expect("T-blossom has label edge").0);
+                    v = Some(self.labeledge[bt].expect("T-blossom has label edge").0);
                 }
             }
             // Swap v and w to alternate between both paths.
@@ -245,240 +366,235 @@ impl Matcher {
                 std::mem::swap(&mut v, &mut w);
             }
         }
-        for b in path {
-            self.label.insert(b, S);
+        for &b in &path {
+            self.label[b] = S;
         }
+        self.scan_path = path;
         base
     }
 
     /// Constructs a new blossom with the given base, through S-vertices
     /// v and w with an edge between them.
     fn add_blossom(&mut self, base: usize, v: usize, w: usize) {
+        let n = self.n;
         let bb = self.inblossom[base];
         let mut bv = self.inblossom[v];
         let mut bw = self.inblossom[w];
         let b = self.new_blossom();
-        self.blossombase.insert(b, base);
-        self.blossomparent.insert(b, None);
-        self.blossomparent.insert(bb, Some(b));
-        let mut path: Vec<Node> = Vec::new();
-        let mut edgs: Vec<(usize, usize)> = vec![(v, w)];
-        // Trace back from v to base (shadow loop cursors).
-        let mut v = v;
-        let mut w = w;
-        let _ = (&v, &w);
+        self.blossombase[b] = base;
+        self.blossomparent[b] = None;
+        self.blossomparent[bb] = Some(b);
+        // The fresh slot's (empty) lists, filled in place.
+        let mut path = std::mem::take(&mut self.bdata_mut(b).childs);
+        let mut edgs = std::mem::take(&mut self.bdata_mut(b).edges);
+        edgs.push((v, w));
+        // Trace back from v to base.
         while bv != bb {
-            self.blossomparent.insert(bv, Some(b));
+            self.blossomparent[bv] = Some(b);
             path.push(bv);
-            let le = self.labeledge[&bv].expect("labeled sub-blossom");
+            let le = self.labeledge[bv].expect("labeled sub-blossom");
             edgs.push(le);
             debug_assert!(
-                self.label_of(bv) == T
-                    || (self.label_of(bv) == S && Some(le.0) == self.mate[self.blossombase[&bv]])
+                self.label[bv] == T
+                    || (self.label[bv] == S && Some(le.0) == self.mate[self.blossombase[bv]])
             );
-            v = le.0;
-            bv = self.inblossom[v];
+            bv = self.inblossom[le.0];
         }
         path.push(bb);
         path.reverse();
         edgs.reverse();
         // Trace back from w to base.
         while bw != bb {
-            self.blossomparent.insert(bw, Some(b));
+            self.blossomparent[bw] = Some(b);
             path.push(bw);
-            let le = self.labeledge[&bw].expect("labeled sub-blossom");
+            let le = self.labeledge[bw].expect("labeled sub-blossom");
             edgs.push((le.1, le.0));
             debug_assert!(
-                self.label_of(bw) == T
-                    || (self.label_of(bw) == S && Some(le.0) == self.mate[self.blossombase[&bw]])
+                self.label[bw] == T
+                    || (self.label[bw] == S && Some(le.0) == self.mate[self.blossombase[bw]])
             );
-            w = le.0;
-            bw = self.inblossom[w];
+            bw = self.inblossom[le.0];
         }
-        debug_assert_eq!(self.label_of(bb), S);
-        self.label.insert(b, S);
-        self.labeledge.insert(b, self.labeledge[&bb]);
-        self.blossomdual.insert(b, 0);
-        self.bdata_mut(b).childs = path.clone();
+        debug_assert_eq!(self.label[bb], S);
+        self.label[b] = S;
+        self.labeledge[b] = self.labeledge[bb];
+        self.blossomdual[b] = 0;
+        self.bdata_mut(b).childs = path;
         self.bdata_mut(b).edges = edgs;
         // Relabel vertices.
-        let mut lv = Vec::new();
-        self.leaves(b, &mut lv);
-        for &x in &lv {
-            if self.label_of(self.inblossom[x]) == T {
+        let mut leaves = self.take_leaves(b);
+        for &x in &leaves {
+            if self.label[self.inblossom[x]] == T {
                 self.queue.push(x);
             }
             self.inblossom[x] = b;
         }
         // Compute b.mybestedges.
-        let mut bestedgeto: BTreeMap<Node, (usize, usize)> = BTreeMap::new();
-        for &bv in &path {
-            let nblist: Vec<(usize, usize)> = if self.is_blossom(bv) {
-                if let Some(best) = self.bdata(bv).mybestedges.clone() {
-                    self.bdata_mut(bv).mybestedges = None;
-                    best
-                } else {
-                    let mut lv = Vec::new();
-                    self.leaves(bv, &mut lv);
-                    lv.iter()
-                        .flat_map(|&x| self.neighbors[x].iter().map(move |&y| (x, y)))
-                        .collect()
+        let mut bestedgeto = std::mem::take(&mut self.bestedgeto);
+        for k in 0..self.bdata(b).childs.len() {
+            let bv = self.bdata(b).childs[k];
+            if bv >= n && self.bdata(bv).has_mybestedges {
+                for &(i, j) in &self.bdata(bv).mybestedges {
+                    self.consider_bestedge(b, i, j, &mut bestedgeto);
                 }
+                self.bdata_mut(bv).has_mybestedges = false;
             } else {
-                self.neighbors[bv].iter().map(|&y| (bv, y)).collect()
-            };
-            for (i0, j0) in nblist {
-                let (i, j) = if self.inblossom[j0] == b {
-                    (j0, i0)
-                } else {
-                    (i0, j0)
-                };
-                let bj = self.inblossom[j];
-                if bj != b && self.label_of(bj) == S {
-                    let better = match bestedgeto.get(&bj) {
-                        None => true,
-                        Some(&(x, y)) => self.slack(i, j) < self.slack(x, y),
-                    };
-                    if better {
-                        bestedgeto.insert(bj, (i, j));
+                leaves.clear();
+                push_leaves(&self.blossoms, n, bv, &mut leaves);
+                for &x in &leaves {
+                    for &y in &self.neighbors[x] {
+                        self.consider_bestedge(b, x, y, &mut bestedgeto);
                     }
                 }
             }
-            self.bestedge.insert(bv, None);
+            self.bestedge[bv] = None;
         }
-        let mybest: Vec<(usize, usize)> = bestedgeto.into_values().collect();
+        self.leaves = leaves;
+        let mut mybest = std::mem::take(&mut self.bdata_mut(b).mybestedges);
         let mut best: Option<(usize, usize)> = None;
-        for &(x, y) in &mybest {
-            if best.is_none() || self.slack(x, y) < self.slack(best.unwrap().0, best.unwrap().1) {
-                best = Some((x, y));
+        for slot in &mut bestedgeto[..n + self.num_blossoms] {
+            if let Some((x, y)) = slot.take() {
+                mybest.push((x, y));
+                if best.is_none_or(|(bx, by)| self.slack(x, y) < self.slack(bx, by)) {
+                    best = Some((x, y));
+                }
             }
         }
-        self.bdata_mut(b).mybestedges = Some(mybest);
-        self.bestedge.insert(b, best);
+        self.bestedgeto = bestedgeto;
+        let bd = self.bdata_mut(b);
+        bd.mybestedges = mybest;
+        bd.has_mybestedges = true;
+        self.bestedge[b] = best;
+    }
+
+    /// `add_blossom` step for edge (i0, j0) out of new blossom `b`:
+    /// keeps it in `bestedgeto` if it is the least-slack edge seen so far
+    /// to the S-node at its far end.
+    fn consider_bestedge(
+        &self,
+        b: Node,
+        i0: usize,
+        j0: usize,
+        bestedgeto: &mut [Option<(usize, usize)>],
+    ) {
+        let (i, j) = if self.inblossom[j0] == b {
+            (j0, i0)
+        } else {
+            (i0, j0)
+        };
+        let bj = self.inblossom[j];
+        if bj != b && self.label[bj] == S {
+            let better = match bestedgeto[bj] {
+                None => true,
+                Some((x, y)) => self.slack(i, j) < self.slack(x, y),
+            };
+            if better {
+                bestedgeto[bj] = Some((i, j));
+            }
+        }
     }
 
     /// Expands the given top-level blossom.
     fn expand_blossom(&mut self, b: Node, endstage: bool) {
-        let childs = self.bdata(b).childs.clone();
-        for &s in &childs {
-            self.blossomparent.insert(s, None);
-            if !self.is_blossom(s) {
+        let n = self.n;
+        for k in 0..self.bdata(b).childs.len() {
+            let s = self.bdata(b).childs[k];
+            self.blossomparent[s] = None;
+            if s < n {
                 self.inblossom[s] = s;
-            } else if endstage && self.blossomdual[&s] == 0 {
+            } else if endstage && self.blossomdual[s] == 0 {
                 self.expand_blossom(s, endstage);
             } else {
-                let mut lv = Vec::new();
-                self.leaves(s, &mut lv);
-                for &x in &lv {
+                let leaves = self.take_leaves(s);
+                for &x in &leaves {
                     self.inblossom[x] = s;
                 }
+                self.leaves = leaves;
             }
         }
         // If we expand a T-blossom during a stage, relabel sub-blossoms.
-        if !endstage && self.label_of(b) == T {
-            let entrychild = self.inblossom[self.labeledge[&b].expect("T-blossom labeled").1];
-            let childs = self.bdata(b).childs.clone();
-            let edges = self.bdata(b).edges.clone();
-            let len = childs.len() as i64;
-            let at = |j: i64| -> usize { j.rem_euclid(len) as usize };
-            let mut j = childs
-                .iter()
-                .position(|&c| c == entrychild)
-                .expect("entrychild present") as i64;
+        if !endstage && self.label[b] == T {
+            let (mut v, mut w) = self.labeledge[b].expect("T-blossom labeled");
+            let entrychild = self.inblossom[w];
+            let len = self.bdata(b).childs.len() as i64;
+            let mut j = self.child_position(b, entrychild);
             let jstep: i64 = if j & 1 == 1 {
                 j -= len;
                 1
             } else {
                 -1
             };
-            let (mut v, mut w) = self.labeledge[&b].expect("T-blossom labeled");
             while j != 0 {
                 // Relabel the T-sub-blossom.
-                let (p, q) = if jstep == 1 {
-                    edges[at(j)]
-                } else {
-                    let (x, y) = edges[at(j - 1)];
-                    (y, x)
-                };
-                self.label.remove(&w);
-                self.label.remove(&q);
+                let (p, q) = self.step_edge(b, j, jstep);
+                self.label[w] = 0;
+                self.label[q] = 0;
                 self.assign_label(w, T, Some(v));
                 // Step to the next S-sub-blossom; note its forward edge.
-                self.allowedge.insert(key(p, q));
+                self.allowedge.insert(p, q);
                 j += jstep;
-                let (x, y) = if jstep == 1 {
-                    edges[at(j)]
-                } else {
-                    let (a2, b2) = edges[at(j - 1)];
-                    (b2, a2)
-                };
-                v = x;
-                w = y;
+                (v, w) = self.step_edge(b, j, jstep);
                 // Step to the next T-sub-blossom.
-                self.allowedge.insert(key(v, w));
+                self.allowedge.insert(v, w);
                 j += jstep;
             }
             // Relabel the base T-sub-blossom (no assign_label: don't step
             // through to its mate).
-            let bw = childs[at(j)];
-            self.label.insert(w, T);
-            self.label.insert(bw, T);
-            self.labeledge.insert(w, Some((v, w)));
-            self.labeledge.insert(bw, Some((v, w)));
-            self.bestedge.insert(bw, None);
+            let bw = self.child(b, j);
+            self.label[w] = T;
+            self.label[bw] = T;
+            self.labeledge[w] = Some((v, w));
+            self.labeledge[bw] = Some((v, w));
+            self.bestedge[bw] = None;
             // Continue along the blossom until back at entrychild.
             j += jstep;
-            while childs[at(j)] != entrychild {
-                let bv = childs[at(j)];
-                if self.label_of(bv) == S {
+            while self.child(b, j) != entrychild {
+                let bv = self.child(b, j);
+                if self.label[bv] == S {
                     j += jstep;
                     continue;
                 }
-                let mut lv = Vec::new();
-                self.leaves(bv, &mut lv);
-                let reached = lv.iter().copied().find(|&x| self.label_of(x) != 0);
+                let leaves = self.take_leaves(bv);
+                let reached = leaves.iter().copied().find(|&x| self.label[x] != 0);
+                self.leaves = leaves;
                 if let Some(x) = reached {
-                    debug_assert_eq!(self.label_of(x), T);
+                    debug_assert_eq!(self.label[x], T);
                     debug_assert_eq!(self.inblossom[x], bv);
-                    self.label.remove(&x);
-                    let base_mate = self.mate[self.blossombase[&bv]].expect("matched base");
-                    self.label.remove(&base_mate);
-                    let le = self.labeledge[&x].expect("reached vertex has edge");
+                    self.label[x] = 0;
+                    let base_mate = self.mate[self.blossombase[bv]].expect("matched base");
+                    self.label[base_mate] = 0;
+                    let le = self.labeledge[x].expect("reached vertex has edge");
                     self.assign_label(x, T, Some(le.0));
                 }
                 j += jstep;
             }
         }
         // Remove the expanded blossom.
-        self.label.remove(&b);
-        self.labeledge.remove(&b);
-        self.bestedge.remove(&b);
-        self.blossomparent.remove(&b);
-        self.blossombase.remove(&b);
-        self.blossomdual.remove(&b);
+        self.label[b] = 0;
+        self.labeledge[b] = None;
+        self.bestedge[b] = None;
+        self.blossomparent[b] = None;
+        self.blossombase[b] = usize::MAX;
+        self.blossomdual[b] = 0;
+        // The slot's lists are cleared when `new_blossom` reuses it.
         self.bdata_mut(b).active = false;
-        self.bdata_mut(b).childs.clear();
-        self.bdata_mut(b).edges.clear();
-        self.bdata_mut(b).mybestedges = None;
         self.free_blossoms.push(b);
     }
 
     /// Swaps matched/unmatched edges over an alternating path through
     /// blossom b between vertex v and the base vertex.
     fn augment_blossom(&mut self, b: Node, v: usize) {
+        let n = self.n;
         // Bubble up from v to an immediate sub-blossom of b.
         let mut t = v;
-        while self.blossomparent[&t] != Some(b) {
-            t = self.blossomparent[&t].expect("v inside b");
+        while self.blossomparent[t] != Some(b) {
+            t = self.blossomparent[t].expect("v inside b");
         }
-        if self.is_blossom(t) {
+        if t >= n {
             self.augment_blossom(t, v);
         }
-        let childs = self.bdata(b).childs.clone();
-        let edges = self.bdata(b).edges.clone();
-        let len = childs.len() as i64;
-        let at = |j: i64| -> usize { j.rem_euclid(len) as usize };
-        let i = childs.iter().position(|&c| c == t).expect("child") as i64;
+        let len = self.bdata(b).childs.len() as i64;
+        let i = self.child_position(b, t);
         let mut j = i;
         let jstep: i64 = if i & 1 == 1 {
             j -= len;
@@ -489,20 +605,15 @@ impl Matcher {
         while j != 0 {
             // Step to the next sub-blossom and augment it recursively.
             j += jstep;
-            let t1 = childs[at(j)];
-            let (w, x) = if jstep == 1 {
-                edges[at(j)]
-            } else {
-                let (a2, b2) = edges[at(j - 1)];
-                (b2, a2)
-            };
-            if self.is_blossom(t1) {
+            let t1 = self.child(b, j);
+            let (w, x) = self.step_edge(b, j, jstep);
+            if t1 >= n {
                 self.augment_blossom(t1, w);
             }
             // Step to the next sub-blossom and augment it recursively.
             j += jstep;
-            let t2 = childs[at(j)];
-            if self.is_blossom(t2) {
+            let t2 = self.child(b, j);
+            if t2 >= n {
                 self.augment_blossom(t2, x);
             }
             // Match the edge connecting those sub-blossoms.
@@ -510,12 +621,11 @@ impl Matcher {
             self.mate[x] = Some(w);
         }
         // Rotate the sub-blossom list to put the new base at the front.
-        let iu = i as usize;
-        self.bdata_mut(b).childs.rotate_left(iu);
-        self.bdata_mut(b).edges.rotate_left(iu);
-        let new_base = self.blossombase[&self.bdata(b).childs[0]];
-        self.blossombase.insert(b, new_base);
-        debug_assert_eq!(self.blossombase[&b], v);
+        let bd = self.bdata_mut(b);
+        bd.childs.rotate_left(i as usize);
+        bd.edges.rotate_left(i as usize);
+        self.blossombase[b] = self.blossombase[self.bdata(b).childs[0]];
+        debug_assert_eq!(self.blossombase[b], v);
     }
 
     /// Swaps matched/unmatched edges over an alternating path between two
@@ -526,25 +636,25 @@ impl Matcher {
             let mut j = j0;
             loop {
                 let bs = self.inblossom[s];
-                debug_assert_eq!(self.label_of(bs), S);
+                debug_assert_eq!(self.label[bs], S);
                 debug_assert!(
-                    (self.labeledge[&bs].is_none() && self.mate[self.blossombase[&bs]].is_none())
-                        || self.labeledge[&bs].map(|le| le.0) == self.mate[self.blossombase[&bs]]
+                    (self.labeledge[bs].is_none() && self.mate[self.blossombase[bs]].is_none())
+                        || self.labeledge[bs].map(|le| le.0) == self.mate[self.blossombase[bs]]
                 );
-                if self.is_blossom(bs) {
+                if bs >= self.n {
                     self.augment_blossom(bs, s);
                 }
                 self.mate[s] = Some(j);
                 // Trace one step back.
-                let Some(le) = self.labeledge[&bs] else {
+                let Some(le) = self.labeledge[bs] else {
                     break; // single vertex reached
                 };
                 let t = le.0;
                 let bt = self.inblossom[t];
-                debug_assert_eq!(self.label_of(bt), T);
-                let (next_s, next_j) = self.labeledge[&bt].expect("T labeled");
-                debug_assert_eq!(self.blossombase[&bt], t);
-                if self.is_blossom(bt) {
+                debug_assert_eq!(self.label[bt], T);
+                let (next_s, next_j) = self.labeledge[bt].expect("T labeled");
+                debug_assert_eq!(self.blossombase[bt], t);
+                if bt >= self.n {
                     self.augment_blossom(bt, next_j);
                 }
                 self.mate[next_j] = Some(next_s);
@@ -554,51 +664,53 @@ impl Matcher {
         }
     }
 
-    fn active_blossoms(&self) -> Vec<Node> {
-        (0..self.blossoms.len())
-            .filter(|&i| self.blossoms[i].active)
-            .map(|i| self.n + i)
-            .collect()
+    /// Whether node `b` (vertex or blossom) is a live top-level node.
+    fn is_top_level(&self, b: Node) -> bool {
+        (b < self.n || self.bdata(b).active) && self.blossomparent[b].is_none()
     }
 
-    fn run(mut self) -> Vec<Option<usize>> {
+    fn run(&mut self) {
+        let n = self.n;
         loop {
             // New stage.
-            self.label.clear();
-            self.labeledge.clear();
-            self.bestedge.clear();
-            for bd in &mut self.blossoms {
-                bd.mybestedges = None;
+            let nodes = n + self.num_blossoms;
+            self.label[..nodes].fill(0);
+            self.labeledge[..nodes].fill(None);
+            self.bestedge[..nodes].fill(None);
+            for bd in &mut self.blossoms[..self.num_blossoms] {
+                bd.has_mybestedges = false;
             }
-            self.allowedge.clear();
+            self.allowedge.reset(n);
             self.queue.clear();
-            for v in 0..self.n {
-                if self.mate[v].is_none() && self.label_of(self.inblossom[v]) == 0 {
+            for v in 0..n {
+                if self.mate[v].is_none() && self.label[self.inblossom[v]] == 0 {
                     self.assign_label(v, S, None);
                 }
             }
             let mut augmented = false;
             loop {
                 'queue_loop: while let Some(v) = self.queue.pop() {
-                    debug_assert_eq!(self.label_of(self.inblossom[v]), S);
-                    let nbs = self.neighbors[v].clone();
-                    for w in nbs {
+                    debug_assert_eq!(self.label[self.inblossom[v]], S);
+                    for k in 0..self.neighbors[v].len() {
+                        let w = self.neighbors[v][k];
                         let bv = self.inblossom[v];
                         let bw = self.inblossom[w];
                         if bv == bw {
                             continue;
                         }
                         let mut kslack = 0;
-                        if !self.allowedge.contains(&key(v, w)) {
+                        let mut allowed = self.allowedge.contains(v, w);
+                        if !allowed {
                             kslack = self.slack(v, w);
                             if kslack <= 0 {
-                                self.allowedge.insert(key(v, w));
+                                self.allowedge.insert(v, w);
+                                allowed = true;
                             }
                         }
-                        if self.allowedge.contains(&key(v, w)) {
-                            if self.label_of(bw) == 0 {
+                        if allowed {
+                            if self.label[bw] == 0 {
                                 self.assign_label(w, T, Some(v));
-                            } else if self.label_of(bw) == S {
+                            } else if self.label[bw] == S {
                                 match self.scan_blossom(v, w) {
                                     Some(base) => self.add_blossom(base, v, w),
                                     None => {
@@ -607,27 +719,19 @@ impl Matcher {
                                         break 'queue_loop;
                                     }
                                 }
-                            } else if self.label_of(w) == 0 {
-                                debug_assert_eq!(self.label_of(bw), T);
-                                self.label.insert(w, T);
-                                self.labeledge.insert(w, Some((v, w)));
+                            } else if self.label[w] == 0 {
+                                debug_assert_eq!(self.label[bw], T);
+                                self.label[w] = T;
+                                self.labeledge[w] = Some((v, w));
                             }
-                        } else if self.label_of(bw) == S {
-                            let better = match self.bestedge.get(&bv).copied().flatten() {
-                                None => true,
-                                Some((x, y)) => kslack < self.slack(x, y),
-                            };
-                            if better {
-                                self.bestedge.insert(bv, Some((v, w)));
+                        } else if self.label[bw] == S {
+                            if self.bestedge[bv].is_none_or(|(x, y)| kslack < self.slack(x, y)) {
+                                self.bestedge[bv] = Some((v, w));
                             }
-                        } else if self.label_of(w) == 0 {
-                            let better = match self.bestedge.get(&w).copied().flatten() {
-                                None => true,
-                                Some((x, y)) => kslack < self.slack(x, y),
-                            };
-                            if better {
-                                self.bestedge.insert(w, Some((v, w)));
-                            }
+                        } else if self.label[w] == 0
+                            && self.bestedge[w].is_none_or(|(x, y)| kslack < self.slack(x, y))
+                        {
+                            self.bestedge[w] = Some((v, w));
                         }
                     }
                 }
@@ -643,9 +747,9 @@ impl Matcher {
                     deltatype = 1;
                     delta = self.dualvar.iter().copied().min().unwrap_or(0);
                 }
-                for v in 0..self.n {
-                    if self.label_of(self.inblossom[v]) == 0 {
-                        if let Some((x, y)) = self.bestedge.get(&v).copied().flatten() {
+                for v in 0..n {
+                    if self.label[self.inblossom[v]] == 0 {
+                        if let Some((x, y)) = self.bestedge[v] {
                             let d = self.slack(x, y);
                             if deltatype == -1 || d < delta {
                                 delta = d;
@@ -655,11 +759,10 @@ impl Matcher {
                         }
                     }
                 }
-                let mut top_nodes: Vec<Node> = (0..self.n).collect();
-                top_nodes.extend(self.active_blossoms());
-                for &b in &top_nodes {
-                    if self.blossomparent.get(&b) == Some(&None) && self.label_of(b) == S {
-                        if let Some((x, y)) = self.bestedge.get(&b).copied().flatten() {
+                // Top-level S-nodes: vertices, then blossoms by slot.
+                for b in 0..n + self.num_blossoms {
+                    if self.is_top_level(b) && self.label[b] == S {
+                        if let Some((x, y)) = self.bestedge[b] {
                             let kslack = self.slack(x, y);
                             debug_assert_eq!(kslack % 2, 0);
                             let d = kslack / 2;
@@ -671,12 +774,12 @@ impl Matcher {
                         }
                     }
                 }
-                for b in self.active_blossoms() {
-                    if self.blossomparent.get(&b) == Some(&None)
-                        && self.label_of(b) == T
-                        && (deltatype == -1 || self.blossomdual[&b] < delta)
+                for b in n..n + self.num_blossoms {
+                    if self.is_top_level(b)
+                        && self.label[b] == T
+                        && (deltatype == -1 || self.blossomdual[b] < delta)
                     {
-                        delta = self.blossomdual[&b];
+                        delta = self.blossomdual[b];
                         deltatype = 4;
                         deltablossom = Some(b);
                     }
@@ -688,18 +791,18 @@ impl Matcher {
                     delta = self.dualvar.iter().copied().min().unwrap_or(0).max(0);
                 }
                 // Update dual variables.
-                for v in 0..self.n {
-                    match self.label_of(self.inblossom[v]) {
-                        x if x == S => self.dualvar[v] -= delta,
-                        x if x == T => self.dualvar[v] += delta,
+                for v in 0..n {
+                    match self.label[self.inblossom[v]] {
+                        S => self.dualvar[v] -= delta,
+                        T => self.dualvar[v] += delta,
                         _ => {}
                     }
                 }
-                for b in self.active_blossoms() {
-                    if self.blossomparent.get(&b) == Some(&None) {
-                        match self.label_of(b) {
-                            x if x == S => *self.blossomdual.get_mut(&b).unwrap() += delta,
-                            x if x == T => *self.blossomdual.get_mut(&b).unwrap() -= delta,
+                for b in n..n + self.num_blossoms {
+                    if self.is_top_level(b) {
+                        match self.label[b] {
+                            S => self.blossomdual[b] += delta,
+                            T => self.blossomdual[b] -= delta,
                             _ => {}
                         }
                     }
@@ -708,14 +811,14 @@ impl Matcher {
                     1 => break,
                     2 => {
                         let (v, w) = deltaedge.unwrap();
-                        debug_assert_eq!(self.label_of(self.inblossom[v]), S);
-                        self.allowedge.insert(key(v, w));
+                        debug_assert_eq!(self.label[self.inblossom[v]], S);
+                        self.allowedge.insert(v, w);
                         self.queue.push(v);
                     }
                     3 => {
                         let (v, w) = deltaedge.unwrap();
-                        self.allowedge.insert(key(v, w));
-                        debug_assert_eq!(self.label_of(self.inblossom[v]), S);
+                        self.allowedge.insert(v, w);
+                        debug_assert_eq!(self.label[self.inblossom[v]], S);
                         self.queue.push(v);
                     }
                     4 => self.expand_blossom(deltablossom.unwrap(), false),
@@ -724,7 +827,7 @@ impl Matcher {
             }
             // Paranoia check.
             #[cfg(debug_assertions)]
-            for v in 0..self.n {
+            for v in 0..n {
                 if let Some(u) = self.mate[v] {
                     debug_assert_eq!(self.mate[u], Some(v));
                 }
@@ -733,26 +836,19 @@ impl Matcher {
                 break;
             }
             // End of stage: expand all S-blossoms with zero dual.
-            for b in self.active_blossoms() {
-                if self.blossoms[b - self.n].active
-                    && self.blossomparent.get(&b) == Some(&None)
-                    && self.label_of(b) == S
-                    && self.blossomdual.get(&b) == Some(&0)
-                {
+            for b in n..n + self.num_blossoms {
+                if self.is_top_level(b) && self.label[b] == S && self.blossomdual[b] == 0 {
                     self.expand_blossom(b, true);
                 }
             }
         }
-        self.mate
     }
 }
 
-fn key(a: usize, b: usize) -> (usize, usize) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+/// Clears `v` and refills its first `len` entries with `value`.
+fn reset<X: Clone>(v: &mut Vec<X>, len: usize, value: X) {
+    v.clear();
+    v.resize(len, value);
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 //! The decoding pipeline mirrors the modern detector-error-model
 //! approach:
 //!
-//! 1. [`graph`] builds a per-sector matching graph by exhaustively
-//!    propagating every possible single fault of the noisy circuit and
-//!    recording which detectors (and logical observables) it flips,
-//!    with edge weights `ln((1-p)/p)`.
+//! 1. [`graph`] builds a per-sector matching graph from one reverse
+//!    detector-sensitivity sweep over the noisy circuit, which gives
+//!    every possible single fault the detectors (and logical
+//!    observables) it flips, with edge weights `ln((1-p)/p)`.
 //! 2. [`mwpm`] decodes a defect set by Dijkstra distances on that graph
 //!    followed by exact minimum-weight perfect matching ([`blossom`]) —
 //!    the paper's "usual maximum likelihood \[matching\] decoder".
@@ -36,12 +36,12 @@ pub enum DecoderScratch {
     /// For decoders without a native batch path.
     #[default]
     None,
-    /// [`unionfind::UnionFindDecoder`] working set (boxed: it is by far
-    /// the largest variant, and scratch lives behind one allocation per
+    /// [`unionfind::UnionFindDecoder`] working set (boxed like the MWPM
+    /// one: both are large, and scratch lives behind one allocation per
     /// decoder for a whole run).
     UnionFind(Box<unionfind::UfScratch>),
     /// [`mwpm::MwpmDecoder`] working set.
-    Mwpm(mwpm::MwpmScratch),
+    Mwpm(Box<mwpm::MwpmScratch>),
 }
 
 impl DecoderScratch {

@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 
 use vlq_telemetry::{Metric, Recorder};
 
-use crate::blossom::min_weight_perfect_matching;
+use crate::blossom::Matcher;
 use crate::graph::{DecodingGraph, BOUNDARY};
 use crate::{Decoder, DecoderScratch};
 
@@ -37,14 +37,14 @@ pub struct MwpmDecoder {
 }
 
 /// Reusable working set for [`MwpmDecoder::decode_detailed_with`]: the
-/// matching-instance edge buffer, refilled per decode instead of
-/// reallocated. The blossom matcher itself still allocates internally
-/// (its `BTreeMap`-based state is kept as-is for determinism), so the
-/// MWPM batch path reduces — but does not eliminate — per-shot
-/// allocation; see `docs/perf.md`.
+/// matching-instance edge buffer and the blossom [`Matcher`], whose
+/// dense per-node state is cleared and refilled per decode instead of
+/// reallocated. Once both have grown to the largest instance seen,
+/// MWPM batch decoding allocates nothing (see `docs/perf.md`).
 #[derive(Debug, Default)]
 pub struct MwpmScratch {
     edges: Vec<(usize, usize, i64)>,
+    matcher: Matcher,
     /// Telemetry sink (disabled by default: one branch per record).
     recorder: Recorder,
 }
@@ -58,6 +58,14 @@ impl MwpmScratch {
     /// Attaches a telemetry recorder; see [`DecoderScratch::set_recorder`].
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.recorder = recorder.clone();
+    }
+
+    /// The matching instance of the last decode with at least one
+    /// defect, and the perfect matching found for it: `(u, v, weight)`
+    /// edges over defects `0..m` and their boundary copies `m..2m`, and
+    /// `mate[node]` for every node.
+    pub fn last_matching(&self) -> (&[(usize, usize, i64)], &[usize]) {
+        (&self.edges, &self.matcher.perfect)
     }
 }
 
@@ -144,8 +152,8 @@ impl MwpmDecoder {
     }
 
     /// [`MwpmDecoder::decode_detailed`] against caller-owned scratch:
-    /// bit-identical output, with the matching-instance edge buffer
-    /// reused across calls.
+    /// bit-identical output, with the matching-instance edge buffer and
+    /// the blossom matcher reused across calls.
     pub fn decode_detailed_with(
         &self,
         defects: &[usize],
@@ -160,15 +168,11 @@ impl MwpmDecoder {
         // copies. Defect-defect edges use pairwise distances; defect i
         // connects to its boundary copy at its boundary distance;
         // boundary copies pair up freely at zero weight.
+        // Unreachable nodes (infinite distance) get no edge at all.
         let edges = &mut scratch.edges;
         edges.clear();
-        let scale = |w: f64| -> i64 {
-            if w.is_finite() {
-                (w * WEIGHT_SCALE).round() as i64
-            } else {
-                i64::MAX / 4
-            }
-        };
+        edges.reserve(m * m);
+        let scale = |w: f64| (w * WEIGHT_SCALE).round() as i64;
         for i in 0..m {
             for j in (i + 1)..m {
                 let w = self.dist_between(defects[i], defects[j]);
@@ -183,7 +187,9 @@ impl MwpmDecoder {
             }
         }
         scratch.recorder.incr(Metric::MwpmBlossomCalls);
-        let mate = min_weight_perfect_matching(edges)
+        let mate = scratch
+            .matcher
+            .min_weight_perfect_matching(edges)
             .expect("decoding graph must admit a perfect matching");
         let mut flip = false;
         let mut total = 0.0;
@@ -214,7 +220,7 @@ impl Decoder for MwpmDecoder {
     }
 
     fn make_scratch(&self) -> DecoderScratch {
-        DecoderScratch::Mwpm(MwpmScratch::new())
+        DecoderScratch::Mwpm(Box::default())
     }
 
     fn decode_batch(

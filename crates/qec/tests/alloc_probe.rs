@@ -2,10 +2,11 @@
 //!
 //! `BlockSampler::run_shots` holds one `BlockScratch` across batches;
 //! after the first few batches have grown every buffer to its working
-//! size, further batches must allocate *nothing* (with the Union-Find
-//! decoder — MWPM's blossom matcher allocates internally by design).
-//! A counting global allocator makes that a hard test, which is why the
-//! probe lives in its own integration-test binary with a single test.
+//! size, further batches must allocate *nothing*, with either decoder
+//! (MWPM's blossom matcher keeps its dense state in the decoder
+//! scratch). A counting global allocator makes that a hard test, which
+//! is why the probe lives in its own integration-test binary with a
+//! single test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,6 +97,46 @@ fn steady_state_batches_do_not_allocate() {
     assert!(
         recorder.value(vlq_telemetry::Metric::UfGrowthSteps) > 0,
         "recorder saw no decoder work"
+    );
+
+    // The same contract with MWPM: the edge buffer and the blossom
+    // matcher's dense state live in the decoder scratch, so identical
+    // batches replayed after warm-up allocate nothing.
+    let mwpm_block = PreparedBlock::prepare(
+        &BlockConfig::new(BlockSpec::full(memory), 3e-3).with_decoder(DecoderKind::Mwpm),
+    );
+    let mwpm = DecoderKind::Mwpm.build(&mwpm_block.graph);
+    let mwpm_decoders: [&(dyn vlq_decoder::Decoder + Send + Sync); 1] = [mwpm.as_ref()];
+    let mut mwpm_scratch = BlockScratch::new();
+    let mwpm_recorder = vlq_telemetry::Recorder::attached();
+    mwpm_scratch.set_recorder(mwpm_recorder.clone());
+    let mut mwpm_warm = 0u64;
+    for seed in 100..106u64 {
+        let words =
+            mwpm_block.sample_failure_words_into(&mwpm_decoders, LANES, seed, &mut mwpm_scratch);
+        mwpm_warm += words[0].iter().map(|w| w.count_ones() as u64).sum::<u64>();
+    }
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let mut mwpm_steady = 0u64;
+    for seed in 100..106u64 {
+        let words =
+            mwpm_block.sample_failure_words_into(&mwpm_decoders, LANES, seed, &mut mwpm_scratch);
+        mwpm_steady += words[0].iter().map(|w| w.count_ones() as u64).sum::<u64>();
+    }
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state MWPM batches allocated ({mwpm_warm} warm-up / {mwpm_steady} steady failures)"
+    );
+    assert_eq!(
+        mwpm_steady, mwpm_warm,
+        "scratch reuse changed MWPM failures"
+    );
+    assert!(mwpm_steady > 0, "MWPM probe batches produced no failures");
+    assert!(
+        mwpm_recorder.value(vlq_telemetry::Metric::MwpmBlossomCalls) > 0,
+        "recorder saw no blossom calls"
     );
 
     // The same contract with the sample pool attached: pool creation and

@@ -5,8 +5,7 @@
 //! after the first few batches have grown every buffer — the logical
 //! Pauli frames, the failure accumulator, and one `BlockScratch` per
 //! sampled syndrome block — to its working size, further batches must
-//! allocate *nothing* (with the Union-Find decoder — MWPM's blossom
-//! matcher allocates internally by design). A counting global allocator
+//! allocate *nothing*, with either decoder. A counting global allocator
 //! makes that a hard test, which is why the probe lives in its own
 //! integration-test binary, mirroring `crates/qec/tests/alloc_probe.rs`
 //! for the memory-block path.
@@ -48,14 +47,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-fn prepared(boundary: Boundary) -> FramePrepared {
+fn prepared(decoder: DecoderKind, boundary: Boundary) -> FramePrepared {
     let compiled = compile(&LogicalCircuit::ghz(2), MachineConfig::compact_demo()).unwrap();
-    FramePrepared::new(compiled.schedule, 3e-3, DecoderKind::UnionFind, boundary)
+    FramePrepared::new(compiled.schedule, 3e-3, decoder, boundary)
 }
 
 #[test]
 fn steady_state_frame_batches_do_not_allocate() {
-    let prep = prepared(Boundary::MidCircuit);
+    let prep = prepared(DecoderKind::UnionFind, Boundary::MidCircuit);
     const SHOTS: u64 = 256;
     let mut scratch = FrameScratch::new();
 
@@ -95,7 +94,7 @@ fn steady_state_frame_batches_do_not_allocate() {
 
     // The legacy Boundary::Full replay shares the scratch machinery
     // (whole-memory-experiment blocks, same per-block keying).
-    let legacy = prepared(Boundary::Full);
+    let legacy = prepared(DecoderKind::UnionFind, Boundary::Full);
     let mut legacy_scratch = FrameScratch::new();
     let mut legacy_warm = 0u64;
     for seed in 100..106u64 {
@@ -113,6 +112,28 @@ fn steady_state_frame_batches_do_not_allocate() {
         "steady-state legacy batches allocated ({legacy_warm} warm-up / {legacy_steady} steady)"
     );
     assert_eq!(legacy_steady, legacy_warm);
+
+    // MWPM replay: the blossom matcher's dense state lives in each
+    // block's decoder scratch, so it too reaches a high-water mark.
+    let mwpm = prepared(DecoderKind::Mwpm, Boundary::MidCircuit);
+    let mut mwpm_scratch = FrameScratch::new();
+    let mut mwpm_warm = 0u64;
+    for seed in 100..106u64 {
+        mwpm_warm += mwpm.run_failures_scratch(SHOTS, seed, &mut mwpm_scratch);
+    }
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let mut mwpm_steady = 0u64;
+    for seed in 100..106u64 {
+        mwpm_steady += mwpm.run_failures_scratch(SHOTS, seed, &mut mwpm_scratch);
+    }
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state MWPM frame batches allocated ({mwpm_warm} warm-up / {mwpm_steady} steady)"
+    );
+    assert_eq!(mwpm_steady, mwpm_warm);
+    assert!(mwpm_warm > 0, "MWPM probe batches produced no failures");
 
     // The same contract under the in-block worker pool: pool creation
     // and warm-up may allocate (threads, queues, per-worker scratch
