@@ -16,9 +16,24 @@
 //! costs O(nodes reached), not O(graph), and allocates nothing. The
 //! one-shot [`Decoder::decode`] path builds a fresh scratch per call and
 //! is bit-identical.
+//!
+//! # Syndrome memo
+//!
+//! A prediction is a pure function of (graph, defect list), and the
+//! small blocks of a program replay see the same few defect lists over
+//! and over. [`Decoder::decode_batch`] therefore looks each short lane
+//! list up in a direct-mapped table in the scratch before decoding it.
+//! Keys are the exact defect list, so a slot collision only evicts and
+//! never answers for another list. Each slot also keeps that decode's
+//! telemetry statistics, which a hit records again, so recorded totals
+//! do not depend on which lanes a worker happened to see first. The
+//! scratch remembers which decoder it serves and forgets every memo
+//! when handed another one. [`UnionFindDecoder::decode_with`] and
+//! [`Decoder::decode`] never consult the table; they are the oracle.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 use vlq_telemetry::{Metric, Recorder};
 
@@ -39,12 +54,78 @@ type AdjacencyList = Vec<Vec<(usize, f64, bool)>>;
 pub struct UnionFindDecoder {
     adjacency: AdjacencyList,
     num_nodes: usize,
+    /// Process-unique id (never reused; clones share it because they
+    /// decode identically). A [`UfScratch`] keys its memos on it.
+    identity: u64,
+}
+
+/// Longest defect list the syndrome memo keys (8 ids × 15 bits).
+const MEMO_MAX_DEFECTS: usize = 8;
+/// Defect ids are stored +1 in 15-bit fields, so ids must stay below
+/// this for the key to be exact.
+const MEMO_ID_LIMIT: usize = 0x7FFF;
+/// Key bit holding the memoised prediction (above the 120 id bits).
+const MEMO_FLIP: u128 = 1 << 127;
+
+/// The exact memo key of a defect list, or `None` when the list is too
+/// long or holds an id too large to pack. Ids are stored +1, so lists
+/// of different lengths get different keys and no key is 0 (the empty
+/// slot).
+fn memo_key(defects: &[usize]) -> Option<u128> {
+    if defects.len() > MEMO_MAX_DEFECTS {
+        return None;
+    }
+    let mut key = 0u128;
+    for (i, &d) in defects.iter().enumerate() {
+        if d >= MEMO_ID_LIMIT {
+            return None;
+        }
+        key |= ((d + 1) as u128) << (15 * i);
+    }
+    Some(key)
+}
+
+/// The deterministic per-decode statistics telemetry records.
+#[derive(Clone, Copy, Debug)]
+struct DecodeStats {
+    growth_steps: u64,
+    touched_nodes: u64,
+    odd_peak: u64,
+}
+
+impl DecodeStats {
+    const FIELD_BITS: u32 = 28;
+
+    /// Packs the statistics into one memo word: 28 bits each for growth
+    /// steps and touched nodes, 8 for the odd-cluster peak (at most the
+    /// defect count). `None` when a count does not fit; such a decode
+    /// is simply not memoised.
+    fn pack(self) -> Option<u64> {
+        let field = 1u64 << Self::FIELD_BITS;
+        if self.growth_steps >= field || self.touched_nodes >= field || self.odd_peak >= 256 {
+            return None;
+        }
+        Some(
+            self.growth_steps
+                | self.touched_nodes << Self::FIELD_BITS
+                | self.odd_peak << (2 * Self::FIELD_BITS),
+        )
+    }
+
+    fn unpack(word: u64) -> Self {
+        let mask = (1u64 << Self::FIELD_BITS) - 1;
+        DecodeStats {
+            growth_steps: word & mask,
+            touched_nodes: (word >> Self::FIELD_BITS) & mask,
+            odd_peak: word >> (2 * Self::FIELD_BITS),
+        }
+    }
 }
 
 /// Reusable working set for [`UnionFindDecoder::decode_with`]: the
 /// union-find arrays, the growth front, the contact forest, and the
 /// pairing buffers, all sized to the graph (index `num_nodes` is the
-/// virtual boundary node).
+/// virtual boundary node), plus the memos of the decoder it serves.
 #[derive(Debug)]
 pub struct UfScratch {
     num_nodes: usize,
@@ -84,6 +165,15 @@ pub struct UfScratch {
     /// `reset` — and heavy-load batches answer the fallback once per
     /// node instead of once per defect.
     bp_memo: Vec<u8>,
+    /// Identity of the decoder the memos were filled for (0 = none).
+    served: u64,
+    /// Syndrome memo (see the module docs): per slot, the exact key of a
+    /// decoded defect list with the prediction in [`MEMO_FLIP`], or 0
+    /// for an empty slot. Allocated by the first batch decode, so the
+    /// memo-free paths never pay for it.
+    memo_keys: Vec<u128>,
+    /// Packed [`DecodeStats`] of the decode that filled each slot.
+    memo_stats: Vec<u64>,
     /// Telemetry sink (disabled by default: one branch per record).
     recorder: Recorder,
 }
@@ -116,7 +206,40 @@ impl UfScratch {
             bp_parity: vec![false; n + 1],
             bp_heap: BinaryHeap::with_capacity(n + 1),
             bp_memo: vec![0; n + 1],
+            served: 0,
+            memo_keys: Vec::new(),
+            memo_stats: Vec::new(),
             recorder: Recorder::disabled(),
+        }
+    }
+
+    /// Binds the scratch to the decoder with `identity`, forgetting
+    /// every memo filled for another one: two graphs can share a node
+    /// count (same topology, different error rates) but not answers.
+    fn serve(&mut self, identity: u64) {
+        if self.served != identity {
+            self.served = identity;
+            self.bp_memo.fill(0);
+            self.memo_keys.fill(0);
+        }
+    }
+
+    /// The syndrome-memo slot for `key`.
+    fn memo_slot(&self, key: u128) -> usize {
+        // Fold the 120 key bits and take the top bits of a
+        // multiplicative hash (the table length is a power of two).
+        let folded = (key as u64) ^ ((key >> 64) as u64).rotate_left(29);
+        let hash = folded.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (hash >> (64 - self.memo_keys.len().trailing_zeros())) as usize
+    }
+
+    fn record(&self, stats: DecodeStats) {
+        if self.recorder.is_enabled() {
+            self.recorder.add(Metric::UfGrowthSteps, stats.growth_steps);
+            self.recorder
+                .add(Metric::UfTouchedNodes, stats.touched_nodes);
+            self.recorder
+                .gauge_max(Metric::UfOddClusterPeak, stats.odd_peak);
         }
     }
 
@@ -205,9 +328,11 @@ fn stable_sort_by<T: Copy>(items: &mut [T], less: impl Fn(&T, &T) -> bool) {
 impl UnionFindDecoder {
     /// Builds a decoder for a sector graph.
     pub fn new(graph: &DecodingGraph) -> Self {
+        static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(1);
         UnionFindDecoder {
             adjacency: graph.adjacency(),
             num_nodes: graph.num_nodes(),
+            identity: NEXT_IDENTITY.fetch_add(1, AtomicOrdering::Relaxed),
         }
     }
 
@@ -223,21 +348,49 @@ impl UnionFindDecoder {
             scratch.num_nodes, self.num_nodes,
             "UfScratch built for a different graph"
         );
+        scratch.serve(self.identity);
         if defects.is_empty() {
             return false;
         }
+        let (flip, stats) = self.decode_fresh(defects, scratch);
+        scratch.record(stats);
+        flip
+    }
+
+    /// One full decode of a non-empty defect list against a scratch
+    /// already bound to this decoder; returns the prediction and the
+    /// statistics to record.
+    fn decode_fresh(&self, defects: &[usize], scratch: &mut UfScratch) -> (bool, DecodeStats) {
         scratch.reset();
         let (growth_steps, odd_peak) = self.grow(defects, scratch);
-        if scratch.recorder.is_enabled() {
-            scratch.recorder.add(Metric::UfGrowthSteps, growth_steps);
-            scratch
-                .recorder
-                .add(Metric::UfTouchedNodes, scratch.touched.len() as u64);
-            scratch
-                .recorder
-                .gauge_max(Metric::UfOddClusterPeak, odd_peak);
+        let stats = DecodeStats {
+            growth_steps,
+            touched_nodes: scratch.touched.len() as u64,
+            odd_peak,
+        };
+        (self.pair_and_predict(defects, scratch), stats)
+    }
+
+    /// [`UnionFindDecoder::decode_fresh`] through the syndrome memo,
+    /// recording the same statistics on a hit as on a miss.
+    fn decode_memoised(&self, defects: &[usize], scratch: &mut UfScratch) -> bool {
+        let memo = memo_key(defects).map(|key| (key, scratch.memo_slot(key)));
+        if let Some((key, slot)) = memo {
+            scratch.recorder.incr(Metric::UfMemoLookups);
+            let stored = scratch.memo_keys[slot];
+            if stored & !MEMO_FLIP == key {
+                scratch.recorder.incr(Metric::UfMemoHits);
+                scratch.record(DecodeStats::unpack(scratch.memo_stats[slot]));
+                return stored & MEMO_FLIP != 0;
+            }
         }
-        self.pair_and_predict(defects, scratch)
+        let (flip, stats) = self.decode_fresh(defects, scratch);
+        scratch.record(stats);
+        if let (Some((key, slot)), Some(packed)) = (memo, stats.pack()) {
+            scratch.memo_keys[slot] = if flip { key | MEMO_FLIP } else { key };
+            scratch.memo_stats[slot] = packed;
+        }
+        flip
     }
 
     /// Grows clusters until all are neutral, recording for every node
@@ -467,10 +620,18 @@ impl Decoder for UnionFindDecoder {
                 // The span owns its own recorder handle, so the borrow
                 // of `s` stays free for the per-lane decode loop.
                 let _span = s.recorder.span(Metric::DecodeBatchNanos);
+                s.serve(self.identity);
+                if s.memo_keys.is_empty() {
+                    let slots = (16 * (self.num_nodes + 1))
+                        .next_power_of_two()
+                        .clamp(64, 2048);
+                    s.memo_keys = vec![0; slots];
+                    s.memo_stats = vec![0; slots];
+                }
                 let words = defects_per_lane.len().div_ceil(64);
                 out[..words].fill(0);
                 for (lane, defects) in defects_per_lane.iter().enumerate() {
-                    if !defects.is_empty() && self.decode_with(defects, s) {
+                    if !defects.is_empty() && self.decode_memoised(defects, s) {
                         out[lane / 64] |= 1u64 << (lane % 64);
                     }
                 }

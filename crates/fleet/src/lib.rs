@@ -462,13 +462,9 @@ fn run_loop(
             match waited {
                 Ok(Some(status)) if status.success() && chaos_due(*chaos_armed, i, &procs[i]) => {
                     // The shard finished between two polls, before the
-                    // kill could land: roll its artifact back to the
-                    // trigger line, as the kill would have left it.
+                    // kill could land.
                     let lines = chaos_armed.take().expect("chaos is due").lines;
-                    procs[i].child = None;
-                    truncate_lines(&procs[i].jsonl, lines)
-                        .map_err(|e| FleetError::Io(procs[i].jsonl.clone(), e))?;
-                    restart_shard(spec, config, recorder, procs, i, "chaos-killed on exit")?;
+                    restart_chaos_finished(spec, config, recorder, procs, i, lines)?;
                 }
                 Ok(Some(status)) if status.success() => {
                     procs[i].done = true;
@@ -496,7 +492,21 @@ fn run_loop(
                             if !config.quiet {
                                 eprintln!("note: fleet: chaos-kill shard {i} at {lines} line(s)");
                             }
-                            let _ = procs[i].child.as_mut().expect("live shard").kill();
+                            let child = procs[i].child.as_mut().expect("live shard");
+                            let _ = child.kill();
+                            // A shard that exits between the poll and the
+                            // kill still reports success.
+                            if child.wait().is_ok_and(|status| status.success()) {
+                                restart_chaos_finished(
+                                    spec,
+                                    config,
+                                    recorder,
+                                    procs,
+                                    i,
+                                    chaos.lines,
+                                )?;
+                                continue;
+                            }
                             // The kill surfaces as a failed exit on the
                             // next poll and takes the restart path.
                         }
@@ -554,6 +564,23 @@ fn spawn_shard(spec: &FleetSpec, procs: &mut [Proc], i: usize) -> Result<(), Fle
     procs[i].lines = count_lines(&procs[i].jsonl);
     procs[i].last_progress = now;
     Ok(())
+}
+
+/// Restarts a chaos-kill target that exited successfully before the
+/// kill landed: its artifact is rolled back to the trigger line, as
+/// the kill would have left it.
+fn restart_chaos_finished(
+    spec: &FleetSpec,
+    config: &FleetConfig,
+    recorder: &Recorder,
+    procs: &mut [Proc],
+    i: usize,
+    lines: usize,
+) -> Result<(), FleetError> {
+    procs[i].child = None;
+    truncate_lines(&procs[i].jsonl, lines)
+        .map_err(|e| FleetError::Io(procs[i].jsonl.clone(), e))?;
+    restart_shard(spec, config, recorder, procs, i, "chaos-killed on exit")
 }
 
 /// Salvages the dead shard's artifact and schedules its restart (or

@@ -338,9 +338,11 @@ impl BlockScratch {
     /// Drops any decoder scratch so the next batch rebuilds it. The
     /// sample pool calls this when a persistent worker scratch is about
     /// to serve a different (block, decoder list) than it was built
-    /// for: decoder scratch can carry graph-keyed memoisation, and the
-    /// length-only rebuild check in `sample_failure_words_into` cannot
-    /// see a graph change.
+    /// for. `sample_failure_words_into` only rebuilds decoder scratch
+    /// when the decoder-list length changes, and scratch of the wrong
+    /// variant or graph size makes `decode_batch` fall back to its slow
+    /// per-lane path. Stale memos are not the concern: union-find
+    /// scratch keys its memos on the decoder it serves.
     pub(crate) fn reset_decoder_scratch(&mut self) {
         self.decoder_scratch.clear();
     }
@@ -491,12 +493,12 @@ impl PreparedBlock {
     /// [`BlockSampler::sample_failure_words`] against caller-owned
     /// scratch: the identical packed failure words through the block's
     /// own configured decoder, with every buffer of the sample→decode
-    /// pipeline reused across calls. The scratch must not be shared
-    /// across *different* blocks without clearing — decoder scratch can
-    /// carry graph-keyed memoisation, and the length-only rebuild check
-    /// in [`PreparedBlock::sample_failure_words_into`] cannot see a
-    /// graph change (keep one scratch per block, as the `vlq` frame
-    /// replay does).
+    /// pipeline reused across calls. Keep one scratch per block, as the
+    /// `vlq` frame replay does: sharing one across blocks stays correct
+    /// (union-find scratch forgets its memos when handed another
+    /// decoder), but [`PreparedBlock::sample_failure_words_into`] never
+    /// rebuilds decoder scratch sized for another graph, so every later
+    /// batch would take the slow per-lane fallback.
     pub fn sample_failure_words_reusing<'s>(
         &self,
         lanes: usize,

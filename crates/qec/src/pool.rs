@@ -34,11 +34,12 @@
 //!
 //! A [`BlockScratch`]'s decoder scratch is only rebuilt when the
 //! decoder-list *length* changes — by design, so the steady state stays
-//! allocation-free — which means scratch memoised against one decoding
-//! graph (e.g. union-find's boundary-parity memo) would be silently
-//! reused against a different graph with the same node count. The
-//! serial paths construct a fresh scratch per run and never hit this;
-//! the pool's scratches are persistent, so every job is keyed by
+//! allocation-free — which means scratch built for one decoding graph
+//! would be handed to a decoder for another. That stays correct
+//! (union-find scratch keys its memos on the decoder it serves, and a
+//! variant or size mismatch falls back to per-lane decoding) but slow.
+//! The serial paths construct a fresh scratch per run and never hit
+//! this; the pool's scratches are persistent, so every job is keyed by
 //! (block identity, decoder list) and any key change clears all worker
 //! decoder scratch before sampling. Same block, same decoders — the
 //! common steady state — reuses everything.

@@ -191,6 +191,9 @@ metrics! {
     ExtractNanos => ("qec.extract_nanos", Counter, Runtime),
     DecodeNanos => ("qec.decode_nanos", Counter, Runtime),
     DecodeBatchNanos => ("decoder.decode_batch_nanos", Counter, Runtime),
+    // Which lanes hit depends on which worker saw which batch first.
+    UfMemoLookups => ("decoder.uf_memo_lookups", Counter, Runtime),
+    UfMemoHits => ("decoder.uf_memo_hits", Counter, Runtime),
     SweepPointNanos => ("sweep.point_nanos", Histogram, Runtime),
     SweepBusyNanos => ("sweep.worker_busy_nanos", Counter, Runtime),
     SweepSteals => ("sweep.steals", Counter, Runtime),

@@ -564,8 +564,8 @@ pub struct FramePrepared {
 
 /// Per-block sample→decode scratch of one [`FrameScratch`], keyed like
 /// [`FramePrepared::blocks`] plus the guard sector (0 = Z, 1 = X). One
-/// [`BlockScratch`] per prepared block, because decoder scratch may
-/// carry graph-keyed memoisation (see
+/// [`BlockScratch`] per prepared block, because decoder scratch is
+/// sized to its block's graph and keeps that graph's memos warm (see
 /// [`PreparedBlock::sample_failure_words_reusing`]).
 type BlockScratchMap = BTreeMap<(usize, Boundary, u8), BlockScratch>;
 
@@ -611,6 +611,9 @@ impl FrameScratch {
         }
     }
 }
+
+/// Shots per frame-replay batch (one pool task = one batch).
+const LANES_PER_BATCH: u64 = 1024;
 
 /// Domain separator of the mid-circuit block-seed derivation.
 const BLOCK_SEED_DOMAIN: u64 = 0x626c_6f63_6b73_6565; // "blocksee"
@@ -752,17 +755,23 @@ impl FramePrepared {
     /// Syndrome-block samples per shot (both sectors of one exposure
     /// count as one block).
     pub fn blocks_per_shot(&self) -> u64 {
-        let legacy = self.boundary == Boundary::Full;
         self.schedule
             .instrs()
             .iter()
-            .map(|i| match i {
-                Instr::RefreshRound { .. } => 1,
-                _ if legacy => i.span() * i.num_qubits() as u64,
-                _ if i.span() > 0 => i.num_qubits() as u64,
-                _ => 0,
-            })
+            .map(|i| self.exposures(i))
             .sum()
+    }
+
+    /// Syndrome-block samples one instruction takes per shot: the
+    /// legacy (`Full`) replay samples one d-round block per timestep of
+    /// every operand, the mid-circuit replay one block per operand.
+    fn exposures(&self, instr: &Instr) -> u64 {
+        match instr {
+            Instr::RefreshRound { .. } => 1,
+            _ if self.boundary == Boundary::Full => instr.span() * instr.num_qubits() as u64,
+            _ if instr.span() > 0 => instr.num_qubits() as u64,
+            _ => 0,
+        }
     }
 
     /// Runs `shots` seeded shots and returns the number of corrupted
@@ -775,15 +784,14 @@ impl FramePrepared {
     /// identical failure counts, with the replay's whole working set
     /// (frames, accumulators, per-block decode scratch) reused across
     /// batches *and* across calls — zero steady-state allocation with
-    /// the Union-Find decoder
-    /// (`crates/vlq/tests/frame_alloc_probe.rs` pins this).
+    /// either decoder (`crates/vlq/tests/frame_alloc_probe.rs` pins
+    /// this).
     pub fn run_failures_scratch(&self, shots: u64, seed: u64, scratch: &mut FrameScratch) -> u64 {
-        const LANES_PER_BATCH: usize = 1024;
         let mut failures = 0u64;
         let mut remaining = shots;
         let mut batch_idx = 0u64;
         while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
+            let lanes = remaining.min(LANES_PER_BATCH) as usize;
             let batch_seed = splitmix64(seed ^ splitmix64(batch_idx));
             failures += if self.boundary == Boundary::Full {
                 self.run_batch_legacy(lanes, batch_seed, scratch)
@@ -806,7 +814,6 @@ impl FramePrepared {
     /// worker-state slots, so — like the `vlq-qec` block path — the
     /// steady state allocates nothing.
     pub fn run_failures_par(&self, shots: u64, seed: u64, par: &Parallelism) -> u64 {
-        const LANES_PER_BATCH: u64 = 1024;
         let Some(pool) = par.pool() else {
             return self.run_failures(shots, seed);
         };
@@ -847,7 +854,6 @@ impl FramePrepared {
         recorder: &Recorder,
         par: &Parallelism,
     ) -> u64 {
-        const LANES_PER_BATCH: u64 = 1024;
         let failures = self.run_failures_par(shots, seed, par);
         if recorder.is_enabled() {
             let batches = shots.div_ceil(LANES_PER_BATCH);
@@ -856,19 +862,13 @@ impl FramePrepared {
         failures
     }
 
-    /// Adds each instruction kind's sampled block-exposure count —
-    /// mirroring the [`FramePrepared::blocks_per_shot`] accounting — to
+    /// Adds each instruction kind's sampled block-exposure count (the
+    /// per-instruction terms of [`FramePrepared::blocks_per_shot`]) to
     /// the recorder, scaled by `batches` (each batch replays the
     /// schedule once for all of its lanes).
     fn record_block_exposures(&self, recorder: &Recorder, batches: u64) {
-        let legacy = self.boundary == Boundary::Full;
         for instr in self.schedule.instrs() {
-            let exposures = match instr {
-                Instr::RefreshRound { .. } => 1,
-                _ if legacy => instr.span() * instr.num_qubits() as u64,
-                _ if instr.span() > 0 => instr.num_qubits() as u64,
-                _ => 0,
-            };
+            let exposures = self.exposures(instr);
             if exposures == 0 {
                 continue;
             }
