@@ -31,7 +31,7 @@ use rand::SeedableRng;
 use vlq_bench::{count_from_args, finish_telemetry, telemetry_from_args, usage_exit, Args};
 use vlq_circuit::exec::sample_batch;
 use vlq_decoder::{Decoder, DecoderKind};
-use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, Parallelism, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, Parallelism, PreparedBlock, Run};
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 use vlq_telemetry::{Metric, Recorder};
 
@@ -130,7 +130,8 @@ fn main() {
                 "d{d} p{p}: pre-refactor and batched paths disagree"
             );
             if threads > 1 {
-                let f_pooled = block.run_shots_par(shots, seed, &par);
+                let pooled = Run::new(shots, seed).with_parallelism(par.clone());
+                let f_pooled = run_block(&block, &pooled);
                 assert_eq!(
                     f_pooled, f_after,
                     "d{d} p{p}: pooled path (threads={threads}) and serial path disagree"
@@ -151,7 +152,10 @@ fn main() {
                 at(Metric::ExtractNanos),
                 at(Metric::DecodeNanos),
             );
-            let f_recorded = block.run_shots_recorded(shots, seed, &recorder);
+            let f_recorded = run_block(
+                &block,
+                &Run::new(shots, seed).with_recorder(recorder.clone()),
+            );
             assert_eq!(
                 f_recorded, f_after,
                 "d{d} p{p}: recorded and plain paths disagree"
@@ -188,13 +192,14 @@ fn main() {
             // any timing.
             if d == 9 && threads > 1 {
                 let mc_serial = block.run_shots(mc_shots, seed);
-                let mc_pooled = block.run_shots_par(mc_shots, seed, &par);
+                let pooled = Run::new(mc_shots, seed).with_parallelism(par.clone());
+                let mc_pooled = run_block(&block, &pooled);
                 assert_eq!(
                     mc_serial, mc_pooled,
                     "d{d} p{p}: multicore failure counts diverge at threads={threads}"
                 );
                 let serial_ns = median_ns(reps, || block.run_shots(mc_shots, seed));
-                let pooled_ns = median_ns(reps, || block.run_shots_par(mc_shots, seed, &par));
+                let pooled_ns = median_ns(reps, || run_block(&block, &pooled));
                 let mc_speedup = serial_ns as f64 / pooled_ns.max(1) as f64;
                 if !quiet {
                     eprintln!(
@@ -250,6 +255,13 @@ struct MulticorePoint {
     pooled_ns: u128,
     speedup: f64,
     mc_failures: u64,
+}
+
+/// `block` through its own decoder under `run`.
+fn run_block(block: &PreparedBlock, run: &Run) -> u64 {
+    let mut failures = [0];
+    block.run(&[block.decoder()], run, &mut failures);
+    failures[0]
 }
 
 /// The hot path exactly as it was before this refactor: a freshly

@@ -11,17 +11,30 @@
 //! The sampling core of the crate is boundary-aware: a [`BlockSpec`]
 //! pairs a memory-circuit shape with a [`Boundary`] selecting which of
 //! the block's ends carry noise, and [`PreparedBlock`] samples any such
-//! block through one shared sample-and-decode pipeline (the
-//! [`BlockSampler`] trait). [`Boundary::Full`] *is* the memory
-//! experiment — [`run_memory_experiment`], [`compare_decoders`], and
-//! [`PreparedExperiment`] are thin wrappers over it, bit-for-bit
-//! identical to the pre-block API. [`Boundary::MidCircuit`] keeps the
-//! identical circuit and detector schedule but makes the prep/readout
-//! boundaries ideal, so the sampled failure rate measures exactly
-//! `rounds` rounds of steady-state exposure; schedule-replay backends
-//! (`vlq::exec::FrameExecutor`) request such blocks sized to each
-//! instruction's real round span, which is what makes *program-level*
-//! logical error rates quantitative rather than trend-only.
+//! block through one shared sample-and-decode pipeline.
+//! [`Boundary::Full`] *is* the memory experiment:
+//! [`run_memory_experiment`], [`compare_decoders`], and the sweep
+//! [`MemoryExecutor`] all run a full-boundary [`PreparedBlock`].
+//! [`Boundary::MidCircuit`] keeps the identical circuit and detector
+//! schedule but makes the prep/readout boundaries ideal, so the sampled
+//! failure rate measures exactly `rounds` rounds of steady-state
+//! exposure; schedule-replay backends (`vlq::exec::FrameExecutor`)
+//! request such blocks sized to each instruction's real round span,
+//! which is what makes *program-level* logical error rates quantitative
+//! rather than trend-only.
+//!
+//! # Running shots
+//!
+//! Every sampler has one run entry point, and it takes a [`Run`]: the
+//! shot count, the base seed, the in-block worker policy
+//! ([`Parallelism`]), and a telemetry [`Recorder`].
+//! [`PreparedBlock::run`] runs a block through a slice of decoders (the
+//! `vlq` crate's `FramePrepared::run` replays a whole program);
+//! [`BlockSampler::run_shots`] forwards to it with a serial, unrecorded
+//! run. Shots split into 1024-lane batches seeded independently of one another, so
+//! a pooled run returns the serial run's failure counts, and the same
+//! deterministic telemetry, at any worker count. Recording never
+//! changes a sampled bit.
 //!
 //! # Examples
 //!
@@ -42,15 +55,16 @@
 //! Sampling a mid-circuit block directly:
 //!
 //! ```
-//! use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, PreparedBlock};
+//! use vlq_qec::{BlockConfig, BlockSpec, PreparedBlock, Run};
 //! use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 //!
 //! let spec = BlockSpec::mid_circuit(MemorySpec::standard(
 //!     Setup::Baseline, 3, 1, Basis::Z,
 //! ));
 //! let block = PreparedBlock::prepare(&BlockConfig::new(spec, 2e-3));
-//! let failures = block.run_shots(256, 7);
-//! assert!(failures <= 256);
+//! let mut failures = [0];
+//! block.run(&[block.decoder()], &Run::new(256, 7), &mut failures);
+//! assert!(failures[0] <= 256);
 //! ```
 
 pub mod lambda;
@@ -71,10 +85,7 @@ use vlq_surface::schedule::{memory_circuit, MemoryCircuit, MemorySpec};
 use vlq_telemetry::{Metric, Recorder};
 
 pub use lambda::{lambda_scan, mean_lambda, LambdaPoint};
-pub use orchestrate::{
-    block_config_for_point, config_for_point, run_sweep, run_sweep_opts, run_sweep_opts_par,
-    run_sweep_resumable, run_sweep_with, BlockExecutor, MemoryExecutor,
-};
+pub use orchestrate::{block_config_for_point, config_for_point, run_sweep, MemoryExecutor};
 pub use pool::{Parallelism, SamplePool};
 pub use sensitivity::{sensitivity_spec, sensitivity_sweep, Knob, SensitivityPoint};
 pub use threshold::{estimate_threshold, threshold_scan, threshold_spec, ScanPoint, ThresholdScan};
@@ -265,41 +276,80 @@ impl BlockConfig {
 }
 
 /// Anything that samples seeded failure words from a prepared noisy
-/// block — the abstraction `orchestrate` executors and schedule-replay
-/// backends are generic over.
+/// block.
 ///
-/// The two methods share one contract: bit `l` of the packed result is
-/// set when decoding shot lane `l` left a *residual logical error*
-/// (decoder prediction XOR actual flip). Implementations must be
-/// deterministic given the seed and independent of batching.
+/// Bit `l` of a failure word is set when decoding shot lane `l` left a
+/// *residual logical error* (decoder prediction XOR actual flip).
+/// Implementations must be deterministic given the seed and
+/// independent of batching.
 pub trait BlockSampler {
     /// Samples one seeded batch of `lanes` shots and returns the packed
     /// per-lane failure words.
     fn sample_failure_words(&self, lanes: usize, seed: u64) -> Vec<u64>;
 
-    /// Runs `shots` shots in fixed-size seeded batches and returns the
-    /// failure count (the popcount of every batch's failure words).
-    fn run_shots(&self, shots: u64, seed: u64) -> u64 {
-        const LANES_PER_BATCH: usize = 1024;
-        let mut failures = 0u64;
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
-            let words = self.sample_failure_words(lanes, seed.wrapping_add(batch_idx));
-            failures += words.iter().map(|w| w.count_ones() as u64).sum::<u64>();
-            remaining -= lanes as u64;
-            batch_idx += 1;
+    /// Runs `shots` serial shots from base seed `seed` and returns the
+    /// failure count.
+    fn run_shots(&self, shots: u64, seed: u64) -> u64;
+}
+
+/// Shots per sampled batch. Batch `i` of a run draws from seed
+/// `run.seed.wrapping_add(i)`, so batches are independent of one
+/// another and of which worker samples them.
+pub(crate) const LANES_PER_BATCH: usize = 1024;
+
+/// One shot-running request: `shots` shots from base seed `seed`, under
+/// the in-block worker policy `par`, reporting through `recorder` (see
+/// the crate docs).
+#[derive(Clone, Debug, Default)]
+pub struct Run {
+    /// Shots to sample.
+    pub shots: u64,
+    /// Base seed of the run's batch seeds.
+    pub seed: u64,
+    /// In-block worker policy (serial by default).
+    pub par: Parallelism,
+    /// Telemetry sink (disabled by default).
+    pub recorder: Recorder,
+}
+
+impl Run {
+    /// A serial, unrecorded run.
+    pub fn new(shots: u64, seed: u64) -> Self {
+        Run {
+            shots,
+            seed,
+            ..Run::default()
         }
-        failures
+    }
+
+    /// Sets the in-block worker policy.
+    pub fn with_parallelism(mut self, par: Parallelism) -> Self {
+        self.par = par;
+        self
+    }
+
+    /// Sets the telemetry sink.
+    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.recorder = recorder;
+        self
+    }
+
+    /// Number of batches the run's shots split into.
+    pub fn batches(&self) -> u64 {
+        self.shots.div_ceil(LANES_PER_BATCH as u64)
+    }
+
+    /// Lanes of batch `batch_idx` (the last batch may be ragged).
+    pub fn batch_lanes(&self, batch_idx: u64) -> usize {
+        (self.shots - batch_idx * LANES_PER_BATCH as u64).min(LANES_PER_BATCH as u64) as usize
     }
 }
 
 /// Reusable working set for [`PreparedBlock`]'s sample→decode pipeline:
 /// the simulator's frame/record buffers, the per-lane defect lists, the
 /// per-decoder scratch, and the packed prediction words. One scratch
-/// held across the batches of a [`BlockSampler::run_shots`] run makes
-/// the steady state allocation-free, with either decoder.
+/// held across the batches of a [`PreparedBlock::run`] makes the steady
+/// state allocation-free, with either decoder.
 #[derive(Debug, Default)]
 pub struct BlockScratch {
     sample: SampleScratch,
@@ -352,7 +402,7 @@ impl BlockScratch {
 /// the guard-sector decoding graph, and the configured decoder.
 ///
 /// This is the shared execution core of the crate: memory experiments
-/// ([`PreparedExperiment`], a [`Boundary::Full`] wrapper) sum the
+/// (a [`Boundary::Full`] block) sum the
 /// failure bits, and schedule-replay backends (the `vlq` crate's
 /// `FrameExecutor`) XOR them into logical Pauli frames, so both
 /// workloads run the identical sample-and-decode path.
@@ -399,25 +449,15 @@ impl PreparedBlock {
         self.identity
     }
 
-    /// [`BlockSampler::sample_failure_words`] for several decoders over
-    /// the *identical* defect sets (same circuit, same noise
-    /// realizations).
-    pub fn sample_failure_words_with(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        lanes: usize,
-        seed: u64,
-    ) -> Vec<Vec<u64>> {
-        let mut scratch = BlockScratch::new();
-        self.sample_failure_words_into(decoders, lanes, seed, &mut scratch);
-        scratch.predictions.truncate(decoders.len());
-        scratch.predictions
+    /// The block's configured decoder.
+    pub fn decoder(&self) -> &(dyn Decoder + Send + Sync) {
+        self.decoder.as_ref()
     }
 
-    /// [`PreparedBlock::sample_failure_words_with`] against caller-owned
-    /// scratch: bit-identical failure words, with every buffer of the
-    /// sample→decode pipeline reused across calls. Returns the per-
-    /// decoder prediction words (borrowed from the scratch).
+    /// Samples one seeded batch of `lanes` shots and decodes the
+    /// *identical* defect sets with every decoder in `decoders`, reusing
+    /// every buffer of the sample→decode pipeline in `scratch`. Returns
+    /// the per-decoder failure words (borrowed from the scratch).
     pub fn sample_failure_words_into<'s>(
         &self,
         decoders: &[&(dyn Decoder + Send + Sync)],
@@ -482,8 +522,7 @@ impl PreparedBlock {
         if scratch.recorder.is_enabled() {
             let failures: u64 = scratch.predictions[..decoders.len()]
                 .iter()
-                .flat_map(|pred| pred.iter())
-                .map(|w| w.count_ones() as u64)
+                .map(|pred| popcount(pred))
                 .sum();
             scratch.recorder.add(Metric::BlockFailures, failures);
         }
@@ -505,251 +544,62 @@ impl PreparedBlock {
         seed: u64,
         scratch: &'s mut BlockScratch,
     ) -> &'s [u64] {
-        let decoders: [&(dyn Decoder + Send + Sync); 1] = [self.decoder.as_ref()];
-        &self.sample_failure_words_into(&decoders, lanes, seed, scratch)[0]
+        &self.sample_failure_words_into(&[self.decoder()], lanes, seed, scratch)[0]
     }
 
-    /// Runs `shots` sampled shots through several decoders at once:
-    /// every decoder sees the *identical* defect sets. Returns one
-    /// failure count per decoder.
-    pub fn run_shots_with(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-    ) -> Vec<u64> {
-        const LANES_PER_BATCH: usize = 1024;
-        let mut scratch = BlockScratch::new();
-        let mut failures = vec![0u64; decoders.len()];
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
+    /// Runs `run.shots` shots through every decoder in `decoders`, all
+    /// decoding the *identical* defect sets, and writes one failure
+    /// count per decoder into `failures`.
+    ///
+    /// Batches of 1024 lanes are seeded
+    /// `run.seed.wrapping_add(batch_idx)`. With a pool in `run.par`,
+    /// its workers claim the batches ([`SamplePool`]); the counts and
+    /// the deterministic telemetry are bit-identical to the serial loop
+    /// below at any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `failures.len() != decoders.len()`.
+    pub fn run(&self, decoders: &[&(dyn Decoder + Send + Sync)], run: &Run, failures: &mut [u64]) {
+        assert_eq!(
+            failures.len(),
+            decoders.len(),
+            "one failure slot per decoder"
+        );
+        if let Some(pool) = run.par.pool() {
+            return pool.run_block_shots(self, decoders, run, failures);
+        }
+        failures.fill(0);
+        let mut scratch = BlockScratch::with_recorder(run.recorder.clone());
+        for batch_idx in 0..run.batches() {
             let words = self.sample_failure_words_into(
                 decoders,
-                lanes,
-                seed.wrapping_add(batch_idx),
+                run.batch_lanes(batch_idx),
+                run.seed.wrapping_add(batch_idx),
                 &mut scratch,
             );
-            for (fi, decoder_words) in words.iter().enumerate() {
-                failures[fi] += decoder_words
-                    .iter()
-                    .map(|w| w.count_ones() as u64)
-                    .sum::<u64>();
-            }
-            remaining -= lanes as u64;
-            batch_idx += 1;
-        }
-        failures
-    }
-
-    /// [`BlockSampler::run_shots`] with telemetry: identical batching,
-    /// seed schedule, and failure count, with per-phase timings and
-    /// sampling statistics reported through `recorder`.
-    pub fn run_shots_recorded(&self, shots: u64, seed: u64, recorder: &Recorder) -> u64 {
-        const LANES_PER_BATCH: usize = 1024;
-        let decoders = [self.decoder.as_ref()];
-        let mut scratch = BlockScratch::with_recorder(recorder.clone());
-        let mut failures = 0u64;
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
-            let words = self.sample_failure_words_into(
-                &decoders,
-                lanes,
-                seed.wrapping_add(batch_idx),
-                &mut scratch,
-            );
-            failures += words[0].iter().map(|w| w.count_ones() as u64).sum::<u64>();
-            remaining -= lanes as u64;
-            batch_idx += 1;
-        }
-        failures
-    }
-
-    /// [`BlockSampler::run_shots`] under a worker policy: serial when
-    /// `par` carries no pool, otherwise the batches are claimed
-    /// work-stealing-style by the pool's workers. Bit-identical to the
-    /// serial path at any worker count (batches are independently
-    /// seeded; counts reduce in batch order — see [`pool::SamplePool`]).
-    pub fn run_shots_par(&self, shots: u64, seed: u64, par: &Parallelism) -> u64 {
-        match par.pool() {
-            None => self.run_shots(shots, seed),
-            Some(pool) => {
-                let mut failures = [0u64];
-                pool.run_block_shots(
-                    self,
-                    &[self.decoder.as_ref()],
-                    shots,
-                    seed,
-                    None,
-                    &mut failures,
-                );
-                failures[0]
+            for (f, decoder_words) in failures.iter_mut().zip(words) {
+                *f += popcount(decoder_words);
             }
         }
     }
+}
 
-    /// [`PreparedBlock::run_shots_with`] under a worker policy (see
-    /// [`PreparedBlock::run_shots_par`]).
-    pub fn run_shots_with_par(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-        par: &Parallelism,
-    ) -> Vec<u64> {
-        match par.pool() {
-            None => self.run_shots_with(decoders, shots, seed),
-            Some(pool) => {
-                let mut failures = vec![0u64; decoders.len()];
-                pool.run_block_shots(self, decoders, shots, seed, None, &mut failures);
-                failures
-            }
-        }
-    }
-
-    /// [`PreparedBlock::run_shots_recorded`] under a worker policy:
-    /// identical failure count *and* identical deterministic telemetry
-    /// (per-worker recorders merge commutatively, so the JSONL sidecar
-    /// stays byte-identical at any worker count; steal/busy timings land
-    /// in the runtime summary only).
-    pub fn run_shots_recorded_par(
-        &self,
-        shots: u64,
-        seed: u64,
-        recorder: &Recorder,
-        par: &Parallelism,
-    ) -> u64 {
-        match par.pool() {
-            None => self.run_shots_recorded(shots, seed, recorder),
-            Some(pool) => {
-                let mut failures = [0u64];
-                pool.run_block_shots(
-                    self,
-                    &[self.decoder.as_ref()],
-                    shots,
-                    seed,
-                    Some(recorder),
-                    &mut failures,
-                );
-                failures[0]
-            }
-        }
-    }
+/// Number of set bits in packed failure words.
+pub(crate) fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| w.count_ones() as u64).sum()
 }
 
 impl BlockSampler for PreparedBlock {
     fn sample_failure_words(&self, lanes: usize, seed: u64) -> Vec<u64> {
-        self.sample_failure_words_with(&[self.decoder.as_ref()], lanes, seed)
-            .pop()
-            .expect("one decoder in, one word vector out")
+        self.sample_failure_words_reusing(lanes, seed, &mut BlockScratch::new())
+            .to_vec()
     }
 
-    /// Override of the trait default: identical batching and seed
-    /// schedule, but one [`BlockScratch`] is held across all batches so
-    /// the steady state allocates nothing.
     fn run_shots(&self, shots: u64, seed: u64) -> u64 {
-        const LANES_PER_BATCH: usize = 1024;
-        let decoders = [self.decoder.as_ref()];
-        let mut scratch = BlockScratch::new();
-        let mut failures = 0u64;
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = (remaining as usize).min(LANES_PER_BATCH);
-            let words = self.sample_failure_words_into(
-                &decoders,
-                lanes,
-                seed.wrapping_add(batch_idx),
-                &mut scratch,
-            );
-            failures += words[0].iter().map(|w| w.count_ones() as u64).sum::<u64>();
-            remaining -= lanes as u64;
-            batch_idx += 1;
-        }
-        failures
-    }
-}
-
-/// Builds the noisy circuit and guard-sector decoder for a
-/// memory-experiment config: a [`PreparedBlock`] pinned to
-/// [`Boundary::Full`].
-///
-/// Sampling goes through the [`BlockSampler`] trait; downstream code
-/// that needs other boundary kinds holds a [`PreparedBlock`] directly.
-pub struct PreparedExperiment {
-    /// The underlying full-boundary block.
-    pub block: PreparedBlock,
-}
-
-impl PreparedExperiment {
-    /// Prepares circuits, graph, and decoder.
-    pub fn prepare(cfg: &ExperimentConfig) -> Self {
-        PreparedExperiment {
-            block: PreparedBlock::prepare(&BlockConfig::from_experiment(cfg, Boundary::Full)),
-        }
-    }
-
-    /// Runs `shots` sampled shots with the given base seed, returning the
-    /// failure count.
-    pub fn run_shots(&self, shots: u64, seed: u64) -> u64 {
-        self.block.run_shots(shots, seed)
-    }
-
-    /// Runs `shots` sampled shots through several decoders at once (see
-    /// [`PreparedBlock::run_shots_with`]).
-    pub fn run_shots_with(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-    ) -> Vec<u64> {
-        self.block.run_shots_with(decoders, shots, seed)
-    }
-
-    /// [`PreparedExperiment::run_shots`] with telemetry (see
-    /// [`PreparedBlock::run_shots_recorded`]).
-    pub fn run_shots_recorded(&self, shots: u64, seed: u64, recorder: &Recorder) -> u64 {
-        self.block.run_shots_recorded(shots, seed, recorder)
-    }
-
-    /// [`PreparedExperiment::run_shots`] under a worker policy (see
-    /// [`PreparedBlock::run_shots_par`]).
-    pub fn run_shots_par(&self, shots: u64, seed: u64, par: &Parallelism) -> u64 {
-        self.block.run_shots_par(shots, seed, par)
-    }
-
-    /// [`PreparedExperiment::run_shots_with`] under a worker policy
-    /// (see [`PreparedBlock::run_shots_with_par`]).
-    pub fn run_shots_with_par(
-        &self,
-        decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-        par: &Parallelism,
-    ) -> Vec<u64> {
-        self.block.run_shots_with_par(decoders, shots, seed, par)
-    }
-
-    /// [`PreparedExperiment::run_shots_recorded`] under a worker policy
-    /// (see [`PreparedBlock::run_shots_recorded_par`]).
-    pub fn run_shots_recorded_par(
-        &self,
-        shots: u64,
-        seed: u64,
-        recorder: &Recorder,
-        par: &Parallelism,
-    ) -> u64 {
-        self.block
-            .run_shots_recorded_par(shots, seed, recorder, par)
-    }
-}
-
-impl BlockSampler for PreparedExperiment {
-    fn sample_failure_words(&self, lanes: usize, seed: u64) -> Vec<u64> {
-        self.block.sample_failure_words(lanes, seed)
+        let mut failures = [0];
+        self.run(&[self.decoder()], &Run::new(shots, seed), &mut failures);
+        failures[0]
     }
 }
 
@@ -766,97 +616,69 @@ impl BlockSampler for PreparedExperiment {
 /// `cfg.seed` and the chunk index alone (the sweep-engine discipline),
 /// so results are identical for any `cfg.threads` / machine core count.
 pub fn compare_decoders(cfg: &ExperimentConfig, kinds: &[DecoderKind]) -> Vec<ExperimentResult> {
-    let prepared = PreparedExperiment::prepare(cfg);
-    let decoders: Vec<Box<dyn Decoder + Send + Sync>> = kinds
-        .iter()
-        .map(|k| k.build(&prepared.block.graph))
-        .collect();
+    let block = PreparedBlock::prepare(&BlockConfig::from_experiment(cfg, Boundary::Full));
+    let decoders: Vec<Box<dyn Decoder + Send + Sync>> =
+        kinds.iter().map(|k| k.build(&block.graph)).collect();
     let decoder_refs: Vec<&(dyn Decoder + Send + Sync)> =
         decoders.iter().map(|d| d.as_ref()).collect();
 
     const CHUNK_SHOTS: u64 = 1024;
     let n_chunks = cfg.shots.div_ceil(CHUNK_SHOTS);
-    let chunk_failures = |c: u64| -> Vec<u64> {
+    let chunk_failures = |c: u64, out: &mut [u64]| {
         let shots = CHUNK_SHOTS.min(cfg.shots - c * CHUNK_SHOTS);
         let seed = vlq_sweep::splitmix64(cfg.seed ^ vlq_sweep::splitmix64(c));
-        prepared.run_shots_with(&decoder_refs, shots, seed)
+        block.run(&decoder_refs, &Run::new(shots, seed), out);
     };
-    let sum = |mut acc: Vec<u64>, part: Vec<u64>| {
-        for (a, p) in acc.iter_mut().zip(part) {
-            *a += p;
+    let mut failures = vec![0u64; kinds.len()];
+    // Chunk seeds don't depend on which worker runs a chunk, and the
+    // pool reduces chunks in order, so the thread count only affects
+    // wall-clock, never results.
+    let par = Parallelism::threads(cfg.threads.min(n_chunks as usize));
+    match par.pool() {
+        None => {
+            let mut part = vec![0u64; kinds.len()];
+            for c in 0..n_chunks {
+                chunk_failures(c, &mut part);
+                for (f, p) in failures.iter_mut().zip(&part) {
+                    *f += p;
+                }
+            }
         }
-        acc
-    };
-
-    let threads = cfg.threads.clamp(1, n_chunks.max(1) as usize);
-    let failures: Vec<u64> = if threads <= 1 {
-        (0..n_chunks)
-            .map(chunk_failures)
-            .fold(vec![0u64; kinds.len()], sum)
-    } else {
-        // Chunk seeds don't depend on this round-robin assignment, so
-        // the thread count only affects wall-clock, never results.
-        std::thread::scope(|scope| {
-            let chunk_failures = &chunk_failures;
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|t| {
-                    scope.spawn(move || {
-                        (t..n_chunks)
-                            .step_by(threads)
-                            .map(chunk_failures)
-                            .fold(vec![0u64; kinds.len()], sum)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker"))
-                .fold(vec![0u64; kinds.len()], sum)
-        })
-    };
+        Some(pool) => pool.run_tasks(n_chunks, kinds.len(), &mut failures, &|c, _, slots| {
+            let mut part = vec![0u64; slots.len()];
+            chunk_failures(c, &mut part);
+            for (slot, p) in slots.iter().zip(part) {
+                slot.store(p, std::sync::atomic::Ordering::Relaxed);
+            }
+        }),
+    }
 
     failures
         .into_iter()
-        .map(|f| ExperimentResult {
-            failures: f,
-            shots: cfg.shots,
-            estimate: BinomialEstimate::new(f, cfg.shots.max(1)),
-            guard_detectors: prepared.block.graph.num_nodes(),
-            graph_edges: prepared.block.graph.num_edges(),
-        })
+        .map(|f| experiment_result(&block, cfg.shots, f))
         .collect()
 }
 
-/// Runs a complete memory experiment (possibly multi-threaded).
+/// Runs a complete memory experiment, its batches spread over
+/// `cfg.threads` pool workers. The result depends on the seed alone,
+/// never on the thread count.
 pub fn run_memory_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
-    let prepared = PreparedExperiment::prepare(cfg);
-    let threads = cfg.threads.max(1).min(cfg.shots.max(1) as usize);
-    let failures = if threads <= 1 {
-        prepared.run_shots(cfg.shots, cfg.seed)
-    } else {
-        let per = cfg.shots / threads as u64;
-        let extra = cfg.shots % threads as u64;
-        std::thread::scope(|scope| {
-            let prepared = &prepared;
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let shots = per + u64::from((t as u64) < extra);
-                    // Separate seed streams per worker.
-                    let seed = cfg
-                        .seed
-                        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t as u64 + 1));
-                    scope.spawn(move || prepared.run_shots(shots, seed))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        })
-    };
+    let block = PreparedBlock::prepare(&BlockConfig::from_experiment(cfg, Boundary::Full));
+    let batches = cfg.shots.div_ceil(LANES_PER_BATCH as u64) as usize;
+    let run = Run::new(cfg.shots, cfg.seed)
+        .with_parallelism(Parallelism::threads(cfg.threads.min(batches)));
+    let mut failures = [0];
+    block.run(&[block.decoder()], &run, &mut failures);
+    experiment_result(&block, cfg.shots, failures[0])
+}
+
+fn experiment_result(block: &PreparedBlock, shots: u64, failures: u64) -> ExperimentResult {
     ExperimentResult {
         failures,
-        shots: cfg.shots,
-        estimate: BinomialEstimate::new(failures, cfg.shots.max(1)),
-        guard_detectors: prepared.block.graph.num_nodes(),
-        graph_edges: prepared.block.graph.num_edges(),
+        shots,
+        estimate: BinomialEstimate::new(failures, shots.max(1)),
+        guard_detectors: block.graph.num_nodes(),
+        graph_edges: block.graph.num_edges(),
     }
 }
 

@@ -3,10 +3,9 @@
 //!
 //! `vlq-sweep` parallelizes *across* grid points; this module
 //! parallelizes *inside* one [`PreparedBlock`]: the 1024-lane batches
-//! of [`BlockSampler::run_shots`](crate::BlockSampler::run_shots) are
-//! already seeded independently (`seed.wrapping_add(batch_idx)`), so
-//! workers can claim batches in any order without perturbing a single
-//! sampled bit. The pool mirrors the sweep engine's injector+stealer
+//! of [`PreparedBlock::run`] are already seeded independently
+//! (`seed.wrapping_add(batch_idx)`), so workers can claim batches in
+//! any order without perturbing a single sampled bit. The pool mirrors the sweep engine's injector+stealer
 //! deques (shared injector refilled into per-worker locals, LIFO local
 //! pops, FIFO steals) but keeps three contracts the sweep level never
 //! had to:
@@ -18,8 +17,8 @@
 //! * **Zero steady-state allocation.** Workers are long-lived and
 //!   parked on a condvar between jobs; the injector, local deques,
 //!   result slots, per-worker [`BlockScratch`]es, and per-worker
-//!   recorders are all pool-owned and reused. After warm-up, a
-//!   `run_shots_par` call allocates nothing
+//!   recorders are all pool-owned and reused. After warm-up, a pooled
+//!   [`PreparedBlock::run`] call allocates nothing
 //!   (`crates/qec/tests/alloc_probe.rs` pins this).
 //! * **Byte-identical telemetry sidecars.** Each worker records into
 //!   its own [`Recorder`]; after the job the submitter drains them into
@@ -53,10 +52,7 @@ use std::time::Instant;
 use vlq_decoder::Decoder;
 use vlq_telemetry::{Metric, Recorder};
 
-use crate::{BlockScratch, PreparedBlock};
-
-/// Batch size of the in-block hot path (one pool task = one batch).
-pub(crate) const LANES_PER_BATCH: usize = 1024;
+use crate::{popcount, BlockScratch, PreparedBlock, Run};
 
 /// How many injector tasks a worker moves to its local deque per grab
 /// (the sweep engine's constant).
@@ -363,28 +359,26 @@ impl SamplePool {
         f(slot.downcast_mut::<T>().expect("state type just installed"))
     }
 
-    /// Runs `shots` of `block` through `decoders` across the workers:
-    /// the pooled equivalent of the serial batch loops in
-    /// `crates/qec/src/lib.rs`, bit-identical to them (same
+    /// Runs `run.shots` of `block` through `decoders` across the
+    /// workers: the pooled branch of [`PreparedBlock::run`],
+    /// bit-identical to its serial loop (same
     /// `seed.wrapping_add(batch_idx)` seeds, same per-batch pipeline,
     /// failure counts reduced in batch order). One failure count per
     /// decoder lands in `failures`.
     ///
-    /// With `recorder` attached, workers record into their own
-    /// recorders, drained into `recorder` in worker-index order after
-    /// the job — deterministic metrics merge to the serial values;
-    /// steal/busy runtime metrics land in the stderr summary only.
+    /// With `run.recorder` enabled, workers record into their own
+    /// recorders, drained into it in worker-index order after the job
+    /// — deterministic metrics merge to the serial values; steal/busy
+    /// runtime metrics land in the stderr summary only.
     pub(crate) fn run_block_shots(
         &self,
         block: &PreparedBlock,
         decoders: &[&(dyn Decoder + Send + Sync)],
-        shots: u64,
-        seed: u64,
-        recorder: Option<&Recorder>,
+        run: &Run,
         failures: &mut [u64],
     ) {
         let mut res = self.resources.lock().expect("pool resources");
-        let record = recorder.is_some_and(Recorder::is_enabled);
+        let record = run.recorder.is_enabled();
         let key = scratch_key(block, decoders);
         let rebuild = res.scratch_key != key;
         res.scratch_key = key;
@@ -399,26 +393,29 @@ impl SamplePool {
                 Recorder::disabled()
             });
         }
-        let tasks = shots.div_ceil(LANES_PER_BATCH as u64);
-        let run = |batch_idx: u64, worker: usize, slots: &[AtomicU64]| {
-            let done = batch_idx * LANES_PER_BATCH as u64;
-            let lanes = (shots - done).min(LANES_PER_BATCH as u64) as usize;
+        let task = |batch_idx: u64, worker: usize, slots: &[AtomicU64]| {
             let mut scratch = self.scratches[worker].lock().expect("worker scratch");
             let words = block.sample_failure_words_into(
                 decoders,
-                lanes,
-                seed.wrapping_add(batch_idx),
+                run.batch_lanes(batch_idx),
+                run.seed.wrapping_add(batch_idx),
                 &mut scratch,
             );
             for (slot, decoder_words) in slots.iter().zip(words) {
-                let count: u64 = decoder_words.iter().map(|w| w.count_ones() as u64).sum();
-                slot.store(count, Ordering::Relaxed);
+                slot.store(popcount(decoder_words), Ordering::Relaxed);
             }
         };
-        self.run_tasks_locked(&mut res, tasks, decoders.len(), failures, &run, record);
-        if let Some(target) = recorder {
+        self.run_tasks_locked(
+            &mut res,
+            run.batches(),
+            decoders.len(),
+            failures,
+            &task,
+            record,
+        );
+        if record {
             for worker in &self.worker_recorders {
-                worker.drain_into(target);
+                worker.drain_into(&run.recorder);
             }
         }
     }
@@ -440,8 +437,8 @@ impl Drop for SamplePool {
 /// Identity of (block, decoder list) a job runs against, used to decide
 /// whether persistent worker scratch may be reused. The block's unique
 /// id is the load-bearing part (ids are never reused, unlike
-/// addresses); the decoder pointers guard the caller-supplied list of
-/// `run_shots_with` against in-place swaps.
+/// addresses); the decoder pointers guard a caller-supplied decoder
+/// list against in-place swaps.
 fn scratch_key(block: &PreparedBlock, decoders: &[&(dyn Decoder + Send + Sync)]) -> u64 {
     let mut key = vlq_sweep::splitmix64(block.identity());
     key = vlq_sweep::splitmix64(key ^ decoders.len() as u64);

@@ -1,6 +1,6 @@
 //! Steady-state allocation probe for the batched sample→decode path.
 //!
-//! `BlockSampler::run_shots` holds one `BlockScratch` across batches;
+//! `PreparedBlock::run` holds one `BlockScratch` across batches;
 //! after the first few batches have grown every buffer to its working
 //! size, further batches must allocate *nothing*, with either decoder
 //! (MWPM's blossom matcher keeps its dense state in the decoder
@@ -11,7 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use vlq_qec::{BlockConfig, BlockSampler, BlockScratch, BlockSpec, DecoderKind, PreparedBlock};
+use vlq_qec::{
+    BlockConfig, BlockSampler, BlockScratch, BlockSpec, DecoderKind, Parallelism, PreparedBlock,
+    Run,
+};
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 
 struct CountingAlloc;
@@ -48,10 +51,8 @@ fn steady_state_batches_do_not_allocate() {
     let block = PreparedBlock::prepare(
         &BlockConfig::new(BlockSpec::full(memory), 3e-3).with_decoder(DecoderKind::UnionFind),
     );
-    // `PreparedBlock`'s own decoder is private; build the same kind for
-    // the multi-decoder entry point (the one `run_shots` batches over).
-    let decoder = DecoderKind::UnionFind.build(&block.graph);
-    let decoders: [&(dyn vlq_decoder::Decoder + Send + Sync); 1] = [decoder.as_ref()];
+    // The per-batch step `PreparedBlock::run` loops over.
+    let decoders = [block.decoder()];
     let mut scratch = BlockScratch::new();
     // The telemetry contract: an *attached* recorder must not break the
     // zero-steady-state-allocation property (counters are pre-registered
@@ -105,8 +106,7 @@ fn steady_state_batches_do_not_allocate() {
     let mwpm_block = PreparedBlock::prepare(
         &BlockConfig::new(BlockSpec::full(memory), 3e-3).with_decoder(DecoderKind::Mwpm),
     );
-    let mwpm = DecoderKind::Mwpm.build(&mwpm_block.graph);
-    let mwpm_decoders: [&(dyn vlq_decoder::Decoder + Send + Sync); 1] = [mwpm.as_ref()];
+    let mwpm_decoders = [mwpm_block.decoder()];
     let mut mwpm_scratch = BlockScratch::new();
     let mwpm_recorder = vlq_telemetry::Recorder::attached();
     mwpm_scratch.set_recorder(mwpm_recorder.clone());
@@ -150,18 +150,24 @@ fn steady_state_batches_do_not_allocate() {
     // allocates nothing — per-worker growth converges once every worker
     // has participated, while per-batch allocation never does, which
     // the attempt bound turns into a failure.
-    let par = vlq_qec::Parallelism::threads(2);
+    let par = Parallelism::threads(2);
     const POOL_SHOTS: u64 = 2048;
+    let pooled_run = |seed: u64| {
+        let mut failures = [0];
+        let run = Run::new(POOL_SHOTS, seed).with_parallelism(par.clone());
+        block.run(&[block.decoder()], &run, &mut failures);
+        failures[0]
+    };
     let mut pooled_warm = 0u64;
     for seed in 200..204u64 {
-        pooled_warm += block.run_shots_par(POOL_SHOTS, seed, &par);
+        pooled_warm += pooled_run(seed);
     }
     let mut settled = false;
     for _attempt in 0..32 {
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         let mut pooled = 0u64;
         for seed in 200..204u64 {
-            pooled += block.run_shots_par(POOL_SHOTS, seed, &par);
+            pooled += pooled_run(seed);
         }
         let after = ALLOC_CALLS.load(Ordering::Relaxed);
         assert_eq!(pooled, pooled_warm, "pooled runs were not deterministic");

@@ -1,18 +1,18 @@
 //! Golden pins for the boundary-aware block redesign.
 //!
 //! The `BlockSpec` → `PreparedBlock` API replaced the old
-//! memory-experiment-shaped `PreparedExperiment` sampling core. These
-//! values were captured from the pre-redesign implementation (commit
-//! 33c23a3) and pin `Boundary::Full` to it *bit-for-bit*: the windowed
-//! noise pass over the full window, the wrapper types, and the
-//! `BlockSampler` batching must all reproduce the old RNG streams and
-//! decode decisions exactly. Any drift here silently invalidates every
+//! memory-experiment-shaped sampling core. These values were captured
+//! from the pre-redesign implementation (commit 33c23a3) and pin
+//! `Boundary::Full` to it *bit-for-bit*: the windowed noise pass over
+//! the full window, the memory-experiment config route, and the
+//! batched runs must all reproduce the old RNG streams and decode
+//! decisions exactly. Any drift here silently invalidates every
 //! recorded fig11/fig12 artifact, so these are hard equality pins, not
 //! tolerances.
 
 use vlq_qec::{
     compare_decoders, run_memory_experiment, BlockConfig, BlockSampler, BlockSpec, Boundary,
-    DecoderKind, ExperimentConfig, PreparedBlock, PreparedExperiment,
+    DecoderKind, ExperimentConfig, PreparedBlock,
 };
 use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 
@@ -20,7 +20,7 @@ use vlq_surface::schedule::{Basis, MemorySpec, Setup};
 /// 192-lane failure words).
 type GoldenWordsRow = (Setup, usize, usize, Basis, f64, u64, [u64; 3]);
 
-/// Pre-redesign `PreparedExperiment::sample_failure_words(192, seed)`
+/// Pre-redesign memory-experiment `sample_failure_words(192, seed)`
 /// outputs for four configurations covering baseline, natural, and
 /// compact setups in both bases.
 const GOLDEN_WORDS: [GoldenWordsRow; 4] = [
@@ -85,14 +85,16 @@ fn full_boundary_failure_words_match_pre_redesign_bits() {
             "PreparedBlock {setup} d{d} k{k} {basis:?}"
         );
 
-        // ...and through the memory-experiment wrapper.
-        let wrapped = PreparedExperiment::prepare(
+        // ...and through the memory-experiment config (the route
+        // `run_memory_experiment` and `MemoryExecutor` prepare by).
+        let experiment = PreparedBlock::prepare(&BlockConfig::from_experiment(
             &ExperimentConfig::new(memory, p).with_decoder(DecoderKind::UnionFind),
-        );
+            Boundary::Full,
+        ));
         assert_eq!(
-            wrapped.sample_failure_words(192, seed),
+            experiment.sample_failure_words(192, seed),
             expected,
-            "PreparedExperiment {setup} d{d} k{k} {basis:?}"
+            "memory experiment {setup} d{d} k{k} {basis:?}"
         );
     }
 }
@@ -305,15 +307,16 @@ fn all_boundary_modes_failure_words_are_pinned() {
 
 #[test]
 fn run_memory_experiment_matches_pre_redesign_counts() {
-    // (setup, d, k, basis, p, failures@threads=1, failures@threads=3),
-    // all at 4096 shots, seed 99, MWPM.
-    let golden: [(Setup, usize, usize, Basis, f64, u64, u64); 3] = [
-        (Setup::Baseline, 3, 1, Basis::Z, 5e-3, 476, 492),
-        (Setup::NaturalAllAtOnce, 3, 3, Basis::Z, 3e-3, 317, 310),
-        (Setup::CompactInterleaved, 3, 4, Basis::X, 4e-3, 517, 517),
+    // (setup, d, k, basis, p, failures), all at 4096 shots, seed 99,
+    // MWPM. The batches are seeded independently of the thread count,
+    // so every thread count reproduces the single-threaded pin.
+    let golden: [(Setup, usize, usize, Basis, f64, u64); 3] = [
+        (Setup::Baseline, 3, 1, Basis::Z, 5e-3, 476),
+        (Setup::NaturalAllAtOnce, 3, 3, Basis::Z, 3e-3, 317),
+        (Setup::CompactInterleaved, 3, 4, Basis::X, 4e-3, 517),
     ];
-    for (setup, d, k, basis, p, f1, f3) in golden {
-        for (threads, expected) in [(1usize, f1), (3, f3)] {
+    for (setup, d, k, basis, p, expected) in golden {
+        for threads in [1usize, 2, 3] {
             let cfg = ExperimentConfig::new(MemorySpec::standard(setup, d, k, basis), p)
                 .with_shots(4096)
                 .with_seed(99)

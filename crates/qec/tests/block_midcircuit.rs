@@ -108,6 +108,16 @@ fn per_round_mid_circuit_rate_is_below_full_experiment_rate() {
     }
 }
 
+/// Stripping the boundary-round noise from an otherwise identical block
+/// must record strictly fewer failures, at the sweep-grid scale of a
+/// few hundred shots too.
+#[test]
+fn mid_circuit_block_fails_less_than_full_block() {
+    let full = prepared(Setup::Baseline, 3, 1, 4e-3, Boundary::Full).run_shots(600, 13);
+    let mid = prepared(Setup::Baseline, 3, 1, 4e-3, Boundary::MidCircuit).run_shots(600, 13);
+    assert!(mid < full, "mid {mid} !< full {full}");
+}
+
 /// Mid-circuit per-round rates keep the fundamental QEC property at
 /// the paper's operating point: deeper codes are better, p = 1e-3.
 #[test]

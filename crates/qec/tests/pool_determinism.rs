@@ -1,7 +1,7 @@
 //! The sample pool's bit-identity contract, property-style.
 //!
-//! `run_shots_par` must return the exact failure count of the serial
-//! path — and `run_shots_recorded_par` the byte-identical deterministic
+//! A pooled `PreparedBlock::run` must return the exact failure count of
+//! the serial run — and, recorded, the byte-identical deterministic
 //! telemetry sidecar — at *any* worker count, for every `Boundary`
 //! mode, across distances. The in-block batches are independently
 //! seeded (`seed.wrapping_add(batch_idx)`) and reduced in batch order,
@@ -10,7 +10,7 @@
 //! claim. Mirrors `crates/sweep/tests/sharding.rs`.
 
 use vlq_decoder::DecoderKind;
-use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, Parallelism, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockSampler, BlockSpec, Parallelism, PreparedBlock, Run};
 use vlq_surface::schedule::{Basis, Boundary, MemorySpec, Setup};
 use vlq_telemetry::Recorder;
 
@@ -25,6 +25,17 @@ fn block_for(d: usize, boundary: Boundary) -> PreparedBlock {
     PreparedBlock::prepare(&BlockConfig::new(spec, 4e-3).with_decoder(DecoderKind::UnionFind))
 }
 
+/// `block` through its own decoder under `run`.
+fn failures(block: &PreparedBlock, run: Run) -> u64 {
+    let mut failures = [0];
+    block.run(&[block.decoder()], &run, &mut failures);
+    failures[0]
+}
+
+fn pooled(par: &Parallelism) -> Run {
+    Run::new(SHOTS, SEED).with_parallelism(par.clone())
+}
+
 #[test]
 fn pooled_failure_counts_and_sidecars_match_serial_everywhere() {
     for d in [3usize, 5, 7] {
@@ -32,7 +43,10 @@ fn pooled_failure_counts_and_sidecars_match_serial_everywhere() {
             let block = block_for(d, boundary);
             let serial = block.run_shots(SHOTS, SEED);
             let serial_rec = Recorder::attached();
-            let serial_recorded = block.run_shots_recorded(SHOTS, SEED, &serial_rec);
+            let serial_recorded = failures(
+                &block,
+                Run::new(SHOTS, SEED).with_recorder(serial_rec.clone()),
+            );
             assert_eq!(
                 serial, serial_recorded,
                 "d{d} {boundary:?}: recording changed counts"
@@ -42,13 +56,13 @@ fn pooled_failure_counts_and_sidecars_match_serial_everywhere() {
             for threads in [1usize, 2, 3, 8] {
                 let par = Parallelism::threads(threads);
                 assert_eq!(
-                    block.run_shots_par(SHOTS, SEED, &par),
+                    failures(&block, pooled(&par)),
                     serial,
                     "d{d} {boundary:?} threads={threads}: failure counts diverged"
                 );
                 let rec = Recorder::attached();
                 assert_eq!(
-                    block.run_shots_recorded_par(SHOTS, SEED, &rec, &par),
+                    failures(&block, pooled(&par).with_recorder(rec.clone())),
                     serial,
                     "d{d} {boundary:?} threads={threads}: recorded counts diverged"
                 );
@@ -68,12 +82,17 @@ fn pooled_multi_decoder_counts_match_serial() {
     let uf = DecoderKind::UnionFind.build(&block.graph);
     let mwpm = DecoderKind::Mwpm.build(&block.graph);
     let decoders: [&(dyn vlq_decoder::Decoder + Send + Sync); 2] = [uf.as_ref(), mwpm.as_ref()];
-    let serial = block.run_shots_with(&decoders, SHOTS, SEED);
+    let mut serial = [0; 2];
+    block.run(&decoders, &Run::new(SHOTS, SEED), &mut serial);
     for threads in [2usize, 3] {
-        let par = Parallelism::threads(threads);
+        let mut pooled_counts = [0; 2];
+        block.run(
+            &decoders,
+            &pooled(&Parallelism::threads(threads)),
+            &mut pooled_counts,
+        );
         assert_eq!(
-            block.run_shots_with_par(&decoders, SHOTS, SEED, &par),
-            serial,
+            pooled_counts, serial,
             "threads={threads}: multi-decoder counts diverged"
         );
     }
@@ -98,7 +117,7 @@ fn pool_reuse_across_blocks_stays_identical() {
     let b = block_for(5, Boundary::Prep);
     let serial_a = a.run_shots(SHOTS, SEED);
     let serial_b = b.run_shots(SHOTS, SEED);
-    assert_eq!(a.run_shots_par(SHOTS, SEED, &par), serial_a);
-    assert_eq!(b.run_shots_par(SHOTS, SEED, &par), serial_b);
-    assert_eq!(a.run_shots_par(SHOTS, SEED, &par), serial_a);
+    assert_eq!(failures(&a, pooled(&par)), serial_a);
+    assert_eq!(failures(&b, pooled(&par)), serial_b);
+    assert_eq!(failures(&a, pooled(&par)), serial_a);
 }

@@ -325,34 +325,6 @@ impl SweepEngine {
         )
     }
 
-    /// Runs an explicit point list (already expanded) under `base_seed`.
-    pub fn run_points<E: SweepExecutor>(
-        &self,
-        points: &[SweepPoint],
-        base_seed: u64,
-        executor: &E,
-        sinks: &mut [&mut dyn RecordSink],
-    ) -> io::Result<Vec<SweepRecord>> {
-        let entries: Vec<(usize, SweepPoint)> = points.iter().cloned().enumerate().collect();
-        self.run_entries(&entries, base_seed, executor, sinks, &|_| None)
-    }
-
-    /// Runs the spec, reusing completed points from a
-    /// [`crate::resume::ResumeCache`] (loaded from a previous run's
-    /// JSONL artifact). Cached points are
-    /// emitted without running any shots; because per-point seeds are
-    /// schedule-independent, the merged record stream — and therefore
-    /// the final artifacts — is byte-identical to a full fresh run.
-    pub fn run_resumable<E: SweepExecutor>(
-        &self,
-        spec: &SweepSpec,
-        executor: &E,
-        sinks: &mut [&mut dyn RecordSink],
-        cache: &crate::resume::ResumeCache,
-    ) -> io::Result<Vec<SweepRecord>> {
-        self.run_opts(spec, executor, sinks, cache, &RunOptions::default())
-    }
-
     /// Runs one shard of the spec, optionally resuming from `cache` and
     /// numbering points from `opts.index_offset`.
     ///
@@ -363,7 +335,9 @@ impl SweepEngine {
     /// seed and point coordinates, so a shard computes byte-for-byte
     /// the records the full run would have computed for its points, and
     /// `sweep-merge` can interleave N shard artifacts back into the
-    /// unsharded artifact.
+    /// unsharded artifact. Points found in `cache` (a previous run's
+    /// JSONL artifact) are emitted without running a shot, so a resumed
+    /// run writes the artifacts a fresh full run would, byte for byte.
     pub fn run_opts<E: SweepExecutor>(
         &self,
         spec: &SweepSpec,
@@ -372,31 +346,14 @@ impl SweepEngine {
         cache: &crate::resume::ResumeCache,
         opts: &RunOptions,
     ) -> io::Result<Vec<SweepRecord>> {
-        let entries: Vec<(usize, SweepPoint)> = spec
+        let base_seed = spec.base_seed;
+        let (indices, points): (Vec<usize>, Vec<SweepPoint>) = spec
             .expand()
             .into_iter()
             .enumerate()
             .map(|(i, pt)| (opts.index_offset + i, pt))
             .filter(|(g, _)| opts.owns(*g))
-            .collect();
-        self.run_entries(&entries, spec.base_seed, executor, sinks, &|pt| {
-            cache.failures_for(pt, spec.base_seed)
-        })
-    }
-
-    /// Runs `(global_index, point)` entries; the core of every `run_*`
-    /// front-end. Emission (and the returned records) follow entry
-    /// order, which all callers keep ascending in global index.
-    fn run_entries<E: SweepExecutor>(
-        &self,
-        entries: &[(usize, SweepPoint)],
-        base_seed: u64,
-        executor: &E,
-        sinks: &mut [&mut dyn RecordSink],
-        cached: &dyn Fn(&SweepPoint) -> Option<u64>,
-    ) -> io::Result<Vec<SweepRecord>> {
-        let indices: Vec<usize> = entries.iter().map(|(g, _)| *g).collect();
-        let points: Vec<SweepPoint> = entries.iter().map(|(_, pt)| pt.clone()).collect();
+            .unzip();
         let points = &points[..];
         let workers = self.workers.max(1);
         let chunk_shots = self.chunk_shots.max(1);
@@ -406,7 +363,10 @@ impl SweepEngine {
         // complete immediately.
         let mut tasks: VecDeque<Task> = VecDeque::new();
         let mut chunks_left: Vec<AtomicUsize> = Vec::with_capacity(points.len());
-        let prefilled: Vec<Option<u64>> = points.iter().map(cached).collect();
+        let prefilled: Vec<Option<u64>> = points
+            .iter()
+            .map(|pt| cache.failures_for(pt, base_seed))
+            .collect();
         for (i, pt) in points.iter().enumerate() {
             let n_chunks = if prefilled[i].is_some() {
                 0
@@ -625,7 +585,7 @@ mod tests {
         // demo_spec: d in {3,5,7} x 4 rates; records 0..6 cover d=3 and
         // half of d=5... (records 0..6 are d=3 x4 + d=5 x2).
         let resumed = engine
-            .run_resumable(
+            .run_opts(
                 &SweepSpec {
                     distances: vec![3, 7],
                     ..spec.clone()
@@ -633,6 +593,7 @@ mod tests {
                 &PanicOnCached,
                 &mut [],
                 &cache,
+                &RunOptions::default(),
             )
             .unwrap();
         assert_eq!(resumed.len(), 8);
@@ -661,7 +622,7 @@ mod tests {
             }
         }
         let replayed = engine
-            .run_resumable(&spec, &NeverRun, &mut [], &cache)
+            .run_opts(&spec, &NeverRun, &mut [], &cache, &RunOptions::default())
             .unwrap();
         assert_eq!(replayed, fresh);
     }

@@ -10,7 +10,7 @@
 use vlq::exec::{config_for_setup, FramePrepared};
 use vlq::machine::MachineConfig;
 use vlq::program::{compile, LogicalCircuit};
-use vlq::qec::Parallelism;
+use vlq::qec::{Parallelism, Run};
 use vlq::surface::schedule::Boundary;
 use vlq::sweep::{SweepExecutor, SweepPoint};
 use vlq_telemetry::Recorder;
@@ -182,7 +182,7 @@ impl SweepExecutor for TenantSweepExecutor {
         shots: u64,
         seed: u64,
     ) -> u64 {
-        prepared.run_failures_par(shots, seed, &self.parallelism)
+        prepared.run(&Run::new(shots, seed).with_parallelism(self.parallelism.clone()))
     }
 
     fn run_chunk_recorded(
@@ -193,7 +193,11 @@ impl SweepExecutor for TenantSweepExecutor {
         seed: u64,
         recorder: &Recorder,
     ) -> u64 {
-        prepared.run_failures_recorded_par(shots, seed, recorder, &self.parallelism)
+        prepared.run(
+            &Run::new(shots, seed)
+                .with_parallelism(self.parallelism.clone())
+                .with_recorder(recorder.clone()),
+        )
     }
 }
 

@@ -60,7 +60,7 @@ use std::collections::BTreeMap;
 
 use vlq_decoder::DecoderKind;
 use vlq_math::stats::BinomialEstimate;
-use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, Parallelism, PreparedBlock};
+use vlq_qec::{BlockConfig, BlockScratch, BlockSpec, Parallelism, PreparedBlock, Run};
 use vlq_sim::{CliffordGate, FrameBatch};
 use vlq_surface::schedule::{Basis, Boundary, MemorySpec, Setup};
 use vlq_surgery::LogicalOp;
@@ -503,21 +503,14 @@ impl Executor for FrameExecutor {
     type Output = ProgramReport;
 
     fn run(&self, schedule: &Schedule) -> Result<ProgramReport, MachineError> {
-        schedule.validate()?;
-        let prepared = FramePrepared::new(schedule.clone(), self.p, self.decoder, self.boundary);
-        let failures = prepared.run_failures_par(self.shots, self.seed, &self.parallelism);
-        Ok(ProgramReport {
-            shots: self.shots,
-            failures,
-            blocks_per_shot: prepared.blocks_per_shot(),
-        })
+        self.run_recorded(schedule, &Recorder::disabled())
     }
 }
 
 impl FrameExecutor {
     /// [`Executor::run`] with telemetry: the identical report, plus
     /// per-instruction-kind block-exposure counters recorded into
-    /// `recorder` (see [`FramePrepared::run_failures_recorded`]).
+    /// `recorder` (see [`FramePrepared::run`]).
     pub fn run_recorded(
         &self,
         schedule: &Schedule,
@@ -525,11 +518,12 @@ impl FrameExecutor {
     ) -> Result<ProgramReport, MachineError> {
         schedule.validate()?;
         let prepared = FramePrepared::new(schedule.clone(), self.p, self.decoder, self.boundary);
-        let failures =
-            prepared.run_failures_recorded_par(self.shots, self.seed, recorder, &self.parallelism);
+        let run = Run::new(self.shots, self.seed)
+            .with_parallelism(self.parallelism.clone())
+            .with_recorder(recorder.clone());
         Ok(ProgramReport {
             shots: self.shots,
-            failures,
+            failures: prepared.run(&run),
             blocks_per_shot: prepared.blocks_per_shot(),
         })
     }
@@ -540,8 +534,8 @@ impl FrameExecutor {
 /// block length the schedule needs, in both guard sectors.
 ///
 /// Shared between [`FrameExecutor`] (one-shot runs) and
-/// [`ProgramSweepExecutor`] (the engine calls `run_failures` once per
-/// shot chunk).
+/// [`ProgramSweepExecutor`] (the engine calls [`FramePrepared::run`]
+/// once per shot chunk).
 pub struct FramePrepared {
     schedule: Schedule,
     boundary: Boundary,
@@ -611,9 +605,6 @@ impl FrameScratch {
         }
     }
 }
-
-/// Shots per frame-replay batch (one pool task = one batch).
-const LANES_PER_BATCH: u64 = 1024;
 
 /// Domain separator of the mid-circuit block-seed derivation.
 const BLOCK_SEED_DOMAIN: u64 = 0x626c_6f63_6b73_6565; // "blocksee"
@@ -774,92 +765,56 @@ impl FramePrepared {
         }
     }
 
-    /// Runs `shots` seeded shots and returns the number of corrupted
-    /// programs. Deterministic given `seed`, independent of batching.
+    /// Runs `shots` serial seeded shots and returns the number of
+    /// corrupted programs (a forward to [`FramePrepared::run`]).
     pub fn run_failures(&self, shots: u64, seed: u64) -> u64 {
-        self.run_failures_scratch(shots, seed, &mut FrameScratch::new())
+        self.run(&Run::new(shots, seed))
     }
 
-    /// [`FramePrepared::run_failures`] against caller-owned scratch:
-    /// identical failure counts, with the replay's whole working set
-    /// (frames, accumulators, per-block decode scratch) reused across
-    /// batches *and* across calls — zero steady-state allocation with
-    /// either decoder (`crates/vlq/tests/frame_alloc_probe.rs` pins
-    /// this).
-    pub fn run_failures_scratch(&self, shots: u64, seed: u64, scratch: &mut FrameScratch) -> u64 {
-        let mut failures = 0u64;
-        let mut remaining = shots;
-        let mut batch_idx = 0u64;
-        while remaining > 0 {
-            let lanes = remaining.min(LANES_PER_BATCH) as usize;
-            let batch_seed = splitmix64(seed ^ splitmix64(batch_idx));
-            failures += if self.boundary == Boundary::Full {
-                self.run_batch_legacy(lanes, batch_seed, scratch)
-            } else {
-                self.run_batch(lanes, batch_seed, scratch)
-            };
-            remaining -= lanes as u64;
-            batch_idx += 1;
-        }
-        failures
-    }
-
-    /// [`FramePrepared::run_failures`] under a worker policy: the
-    /// batches (independently seeded through the same
-    /// `splitmix64(seed ^ splitmix64(batch_idx))` schedule) are claimed
-    /// work-stealing-style by the pool's workers, and the per-batch
-    /// failure counts reduce in batch order — bit-identical to the
-    /// serial loop at any worker count. Each worker replays its batches
-    /// against a persistent [`FrameScratch`] held in the pool's typed
-    /// worker-state slots, so — like the `vlq-qec` block path — the
-    /// steady state allocates nothing.
-    pub fn run_failures_par(&self, shots: u64, seed: u64, par: &Parallelism) -> u64 {
-        let Some(pool) = par.pool() else {
-            return self.run_failures(shots, seed);
+    /// Runs `run.shots` seeded shots and returns the number of
+    /// corrupted programs. Deterministic given `run.seed`, independent
+    /// of batching and of the worker count.
+    ///
+    /// Batch `i` replays 1024 lanes from seed
+    /// `splitmix64(run.seed ^ splitmix64(i))`. Serially, one
+    /// [`FrameScratch`] is held across the batches; with a pool in
+    /// `run.par`, its workers claim the batches, each replaying against
+    /// a persistent [`FrameScratch`] in the pool's typed worker-state
+    /// slots, and the counts reduce in batch order. Either way the
+    /// steady state allocates nothing. With `run.recorder` enabled, the
+    /// per-instruction-kind block-exposure counters are recorded too: a
+    /// pure function of the schedule and the batch count, so identical
+    /// at any worker count.
+    pub fn run(&self, run: &Run) -> u64 {
+        let batches = run.batches();
+        let failures = match run.par.pool() {
+            None => {
+                let mut scratch = FrameScratch::new();
+                (0..batches)
+                    .map(|i| self.replay_run_batch(run, i, &mut scratch))
+                    .sum()
+            }
+            Some(pool) => {
+                let mut out = [0u64];
+                pool.run_tasks(batches, 1, &mut out, &|i, worker, slots| {
+                    let failures = pool.worker_state(worker, FrameScratch::new, |scratch| {
+                        self.replay_run_batch(run, i, scratch)
+                    });
+                    slots[0].store(failures, std::sync::atomic::Ordering::Relaxed);
+                });
+                out[0]
+            }
         };
-        let tasks = shots.div_ceil(LANES_PER_BATCH);
-        let mut out = [0u64];
-        pool.run_tasks(tasks, 1, &mut out, &|batch_idx, worker, slots| {
-            let lanes = (shots - batch_idx * LANES_PER_BATCH).min(LANES_PER_BATCH) as usize;
-            let batch_seed = splitmix64(seed ^ splitmix64(batch_idx));
-            let failures = pool.worker_state(worker, FrameScratch::new, |scratch| {
-                if self.boundary == Boundary::Full {
-                    self.run_batch_legacy(lanes, batch_seed, scratch)
-                } else {
-                    self.run_batch(lanes, batch_seed, scratch)
-                }
-            });
-            slots[0].store(failures, std::sync::atomic::Ordering::Relaxed);
-        });
-        out[0]
-    }
-
-    /// [`FramePrepared::run_failures`] with telemetry: the identical
-    /// failure count, plus per-instruction-kind block-exposure counters
-    /// (one replay of the schedule per batch, so the counts are a pure
-    /// function of the schedule and the batch count — deterministic for
-    /// any worker schedule).
-    pub fn run_failures_recorded(&self, shots: u64, seed: u64, recorder: &Recorder) -> u64 {
-        self.run_failures_recorded_par(shots, seed, recorder, &Parallelism::serial())
-    }
-
-    /// [`FramePrepared::run_failures_recorded`] under a worker policy.
-    /// The exposure counters are a pure function of the schedule and
-    /// the batch count, so the recorded values — like the failure
-    /// count — are identical at any worker count.
-    pub fn run_failures_recorded_par(
-        &self,
-        shots: u64,
-        seed: u64,
-        recorder: &Recorder,
-        par: &Parallelism,
-    ) -> u64 {
-        let failures = self.run_failures_par(shots, seed, par);
-        if recorder.is_enabled() {
-            let batches = shots.div_ceil(LANES_PER_BATCH);
-            self.record_block_exposures(recorder, batches);
+        if run.recorder.is_enabled() {
+            self.record_block_exposures(&run.recorder, batches);
         }
         failures
+    }
+
+    /// Batch `batch_idx` of `run`, replayed against `scratch`.
+    fn replay_run_batch(&self, run: &Run, batch_idx: u64, scratch: &mut FrameScratch) -> u64 {
+        let batch_seed = splitmix64(run.seed ^ splitmix64(batch_idx));
+        self.replay_batch(run.batch_lanes(batch_idx), batch_seed, scratch)
     }
 
     /// Adds each instruction kind's sampled block-exposure count (the
@@ -924,13 +879,32 @@ impl FramePrepared {
         frames.xor_z_words(slot, z_flips);
     }
 
+    /// Replays one batch of `lanes` shots from `batch_seed` against
+    /// `scratch` and returns its corrupted-program count: the loop body
+    /// of [`FramePrepared::run`], under the preparation's boundary
+    /// mode. Once the scratch has grown to a workload's high-water
+    /// mark, replaying identical batches allocates nothing.
+    pub fn replay_batch(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) -> u64 {
+        let n_slots = self.slots.len().max(1);
+        scratch.rekey(self.identity);
+        scratch.frames.reset(n_slots, lanes);
+        scratch.failed.clear();
+        scratch.failed.resize(lanes.div_ceil(64).max(1), 0);
+        scratch.measured.clear();
+        scratch.measured.resize(n_slots, false);
+        if self.boundary == Boundary::Full {
+            self.replay_legacy(lanes, batch_seed, scratch);
+        } else {
+            self.replay_exposures(lanes, batch_seed, scratch);
+        }
+        self.close_batch(&scratch.frames, &scratch.measured, &mut scratch.failed);
+        scratch.failed.iter().map(|w| w.count_ones() as u64).sum()
+    }
+
     /// The boundary-aware replay: every instruction exposes each
     /// participant to one block sized to its actual round span.
-    fn run_batch(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) -> u64 {
-        let words = lanes.div_ceil(64).max(1);
-        let n_slots = self.slots.len().max(1);
+    fn replay_exposures(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) {
         let d = self.schedule.config().d;
-        scratch.rekey(self.identity);
         let FrameScratch {
             frames,
             failed,
@@ -939,11 +913,6 @@ impl FramePrepared {
             blocks,
             ..
         } = scratch;
-        frames.reset(n_slots, lanes);
-        failed.clear();
-        failed.resize(words, 0);
-        measured.clear();
-        measured.resize(n_slots, false);
         let slot = |q: LogicalId| self.slots[&q];
         for (idx, instr) in self.schedule.instrs().iter().enumerate() {
             let idx = idx as u64;
@@ -1052,8 +1021,6 @@ impl FramePrepared {
                 }
             }
         }
-        self.close_batch(frames, measured, failed);
-        failed.iter().map(|w| w.count_ones() as u64).sum()
     }
 
     /// Exposes one qubit slot to `reps` sampled blocks of `rounds`
@@ -1085,10 +1052,7 @@ impl FramePrepared {
 
     /// The legacy [`Boundary::Full`] replay: every timestep of every
     /// operation resamples a whole `d`-round memory experiment.
-    fn run_batch_legacy(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) -> u64 {
-        let words = lanes.div_ceil(64).max(1);
-        let n_slots = self.slots.len().max(1);
-        scratch.rekey(self.identity);
+    fn replay_legacy(&self, lanes: usize, batch_seed: u64, scratch: &mut FrameScratch) {
         let FrameScratch {
             frames,
             failed,
@@ -1097,11 +1061,6 @@ impl FramePrepared {
             blocks,
             ..
         } = scratch;
-        frames.reset(n_slots, lanes);
-        failed.clear();
-        failed.resize(words, 0);
-        measured.clear();
-        measured.resize(n_slots, false);
         let slot = |q: LogicalId| self.slots[&q];
         for (idx, instr) in self.schedule.instrs().iter().enumerate() {
             let instr_seed = splitmix64(batch_seed ^ splitmix64(idx as u64));
@@ -1178,8 +1137,6 @@ impl FramePrepared {
                 }
             }
         }
-        self.close_batch(frames, measured, failed);
-        failed.iter().map(|w| w.count_ones() as u64).sum()
     }
 
     /// Qubits still live at the end of the program must carry the
@@ -1321,7 +1278,7 @@ impl SweepExecutor for ProgramSweepExecutor {
         shots: u64,
         seed: u64,
     ) -> u64 {
-        prepared.run_failures_par(shots, seed, &self.parallelism)
+        prepared.run(&Run::new(shots, seed).with_parallelism(self.parallelism.clone()))
     }
 
     fn run_chunk_recorded(
@@ -1332,7 +1289,11 @@ impl SweepExecutor for ProgramSweepExecutor {
         seed: u64,
         recorder: &Recorder,
     ) -> u64 {
-        prepared.run_failures_recorded_par(shots, seed, recorder, &self.parallelism)
+        prepared.run(
+            &Run::new(shots, seed)
+                .with_parallelism(self.parallelism.clone())
+                .with_recorder(recorder.clone()),
+        )
     }
 }
 

@@ -1,8 +1,8 @@
 //! Steady-state allocation probe for the frame-replay program path.
 //!
-//! `FramePrepared::run_failures_scratch` holds one `FrameScratch`
-//! across batches (and `run_failures_par` holds one per pool worker);
-//! after the first few batches have grown every buffer — the logical
+//! `FramePrepared::run` holds one `FrameScratch` across the batches it
+//! replays (one per pool worker when pooled); after the first few
+//! batches have grown every buffer — the logical
 //! Pauli frames, the failure accumulator, and one `BlockScratch` per
 //! sampled syndrome block — to its working size, further batches must
 //! allocate *nothing*, with either decoder. A counting global allocator
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use vlq::machine::MachineConfig;
 use vlq::program::{compile, LogicalCircuit};
-use vlq::qec::Parallelism;
+use vlq::qec::{Parallelism, Run};
 use vlq::surface::schedule::Boundary;
 use vlq::{decoder::DecoderKind, FramePrepared, FrameScratch};
 
@@ -55,9 +55,10 @@ fn prepared(decoder: DecoderKind, boundary: Boundary) -> FramePrepared {
 #[test]
 fn steady_state_frame_batches_do_not_allocate() {
     let prep = prepared(DecoderKind::UnionFind, Boundary::MidCircuit);
-    const SHOTS: u64 = 256;
+    const LANES: usize = 256;
     let mut scratch = FrameScratch::new();
 
+    // `FramePrepared::run`'s loop body, one batch per probe seed.
     // Warm-up: run the probe seeds once so every buffer (frames,
     // accumulators, per-block sample/decode scratch) reaches the
     // high-water mark this workload needs. All allocation must be such
@@ -65,14 +66,14 @@ fn steady_state_frame_batches_do_not_allocate() {
     // re-running the identical batches must allocate nothing.
     let mut warm = 0u64;
     for seed in 100..112u64 {
-        warm += prep.run_failures_scratch(SHOTS, seed, &mut scratch);
+        warm += prep.replay_batch(LANES, seed, &mut scratch);
     }
 
     // Steady state: same seeds again, zero allocator calls allowed.
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let mut steady = 0u64;
     for seed in 100..112u64 {
-        steady += prep.run_failures_scratch(SHOTS, seed, &mut scratch);
+        steady += prep.replay_batch(LANES, seed, &mut scratch);
     }
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
     assert_eq!(
@@ -82,14 +83,14 @@ fn steady_state_frame_batches_do_not_allocate() {
     );
     assert_eq!(steady, warm, "scratch reuse changed the sampled bits");
     // The batches did real work, and scratch reuse is bit-identical to
-    // the fresh-scratch entry point.
+    // a fresh scratch per batch.
     assert!(warm > 0, "probe batches produced no failures at all");
     assert_eq!(
         warm,
         (100..112u64)
-            .map(|s| prep.run_failures(SHOTS, s))
+            .map(|s| prep.replay_batch(LANES, s, &mut FrameScratch::new()))
             .sum::<u64>(),
-        "scratch path diverged from run_failures"
+        "reused scratch diverged from fresh scratch"
     );
 
     // The legacy Boundary::Full replay shares the scratch machinery
@@ -98,12 +99,12 @@ fn steady_state_frame_batches_do_not_allocate() {
     let mut legacy_scratch = FrameScratch::new();
     let mut legacy_warm = 0u64;
     for seed in 100..106u64 {
-        legacy_warm += legacy.run_failures_scratch(SHOTS, seed, &mut legacy_scratch);
+        legacy_warm += legacy.replay_batch(LANES, seed, &mut legacy_scratch);
     }
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let mut legacy_steady = 0u64;
     for seed in 100..106u64 {
-        legacy_steady += legacy.run_failures_scratch(SHOTS, seed, &mut legacy_scratch);
+        legacy_steady += legacy.replay_batch(LANES, seed, &mut legacy_scratch);
     }
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
     assert_eq!(
@@ -119,12 +120,12 @@ fn steady_state_frame_batches_do_not_allocate() {
     let mut mwpm_scratch = FrameScratch::new();
     let mut mwpm_warm = 0u64;
     for seed in 100..106u64 {
-        mwpm_warm += mwpm.run_failures_scratch(SHOTS, seed, &mut mwpm_scratch);
+        mwpm_warm += mwpm.replay_batch(LANES, seed, &mut mwpm_scratch);
     }
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let mut mwpm_steady = 0u64;
     for seed in 100..106u64 {
-        mwpm_steady += mwpm.run_failures_scratch(SHOTS, seed, &mut mwpm_scratch);
+        mwpm_steady += mwpm.replay_batch(LANES, seed, &mut mwpm_scratch);
     }
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
     assert_eq!(
@@ -150,16 +151,18 @@ fn steady_state_frame_batches_do_not_allocate() {
     // pairing replays identical shapes.
     let par = Parallelism::threads(2);
     const POOL_SHOTS: u64 = 2048;
+    let pooled_run =
+        |seed: u64| prep.run(&Run::new(POOL_SHOTS, seed).with_parallelism(par.clone()));
     let mut pooled_warm = 0u64;
     for seed in 200..206u64 {
-        pooled_warm += prep.run_failures_par(POOL_SHOTS, seed, &par);
+        pooled_warm += pooled_run(seed);
     }
     let mut settled = false;
     for _attempt in 0..32 {
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         let mut pooled = 0u64;
         for seed in 200..206u64 {
-            pooled += prep.run_failures_par(POOL_SHOTS, seed, &par);
+            pooled += pooled_run(seed);
         }
         let after = ALLOC_CALLS.load(Ordering::Relaxed);
         assert_eq!(pooled, pooled_warm, "pooled runs were not deterministic");
